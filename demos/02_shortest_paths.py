@@ -1,9 +1,10 @@
 """Weighted shortest paths: worklist policies and their work counts.
 
 The same relaxation predicate runs under every scheduling policy; what
-changes is how much redundant work each policy performs.  The bucket
-queue and the per-thread bag both carry the fresh tentative distance as
-a scheduling hint, which keeps threads near the active frontier.
+changes is how much redundant work each policy performs.  An advance
+pushes only the neighbours it improves, each keyed by its new tentative
+distance; the bucket queue and the per-thread bag schedule on that key,
+which keeps threads near the active frontier.
 """
 
 import time

@@ -1,8 +1,9 @@
 """Unweighted traversal: hop levels as a min-lattice.
 
-BFS is shortest paths with every weight equal to one.  There is no
-priority signal worth scheduling on, so the adapter pushes plain items
-and correctness rests on the same monotone minimum as weighted SSSP.
+BFS is shortest paths with every weight equal to one.  An advance
+pushes only the neighbours whose level it lowers, keyed by that new
+level, and correctness rests on the same monotone minimum as weighted
+SSSP.
 """
 
 from llp import INF, SolverConfig, generate, solve

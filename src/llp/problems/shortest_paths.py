@@ -13,9 +13,11 @@ class ShortestPaths(Problem):
 
     A vertex v (other than the source) is forbidden when some in-edge
     (u, v) offers d(u) + w < d(v).  Advancing writes the best in-edge
-    candidate through a monotone min and enqueues v's out-neighbours
-    with the fresh distance as their scheduling priority, so recently
-    improved regions are revisited first.
+    candidate through a monotone min and enqueues only the out-neighbours
+    x that the fresh distance improves, d(v) + w < d(x), each keyed by
+    that candidate d(v) + w, as in delta-stepping.  Skipping the others
+    is sound because cells only fall: an edge that does not improve x now
+    cannot until d(v) falls again, and that fall pushes x again.
     """
 
     lattice = "min"
@@ -38,6 +40,12 @@ class ShortestPaths(Problem):
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((v, 0) for v, _w in self._out[self.source])
 
+    def _push_improved(self, cells: list, v: int, d: int, worklist) -> None:
+        # No saturating add: a sum at or above INF never beats a cell.
+        items = [(x, c) for x, w in self._out[v] if (c := d + w) < cells[x]]
+        if items:
+            worklist.push_all(items)
+
     def _best_in(self, state: GlobalState, v: int) -> int:
         # INF plus a weight exceeds INF and never wins, so unreached
         # neighbours need no special case.
@@ -59,7 +67,7 @@ class ShortestPaths(Problem):
         res = state.values.monotone_min(v, cand)
         if not res.updated:
             return False  # a concurrent relax got there first
-        worklist.push_all([(x, cand) for x, _w in self._out[v]])
+        self._push_improved(state.values.cells(), v, cand, worklist)
         return True
 
     def ensure(self, state: GlobalState, v: int, worklist) -> bool:
@@ -79,7 +87,7 @@ class ShortestPaths(Problem):
             return False
         if state.values.monotone_min(v, best).updated:
             stats.advances += 1
-            worklist.push_all([(x, best) for x, _w in self._out[v]])
+            self._push_improved(cells, v, best, worklist)
         else:
             stats.failed_replaces += 1
         return True
@@ -92,8 +100,10 @@ class BreadthFirstLevels(Problem):
     """Hop levels from a source; shortest paths with every weight one.
 
     A vertex is forbidden when an in-neighbour sits more than one level
-    below it.  There is no useful priority hint (all edges weigh the
-    same), so items carry priority zero.
+    below it.  ``ensure`` advancing v to level d pushes only the
+    out-neighbours x with d + 1 < d(x), each keyed by its candidate level
+    d + 1, by the same rule as :class:`ShortestPaths`.  ``advance``
+    pushes every out-neighbour at priority zero.
     """
 
     lattice = "min"
@@ -115,6 +125,12 @@ class BreadthFirstLevels(Problem):
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((v, 0) for v in self._out[self.source])
 
+    def _push_improved(self, cells: list, v: int, d: int, worklist) -> None:
+        cand = d + 1
+        items = [(x, cand) for x in self._out[v] if cand < cells[x]]
+        if items:
+            worklist.push_all(items)
+
     def _best_in(self, state: GlobalState, v: int) -> int:
         cells = state.values.cells()
         best = INF
@@ -134,6 +150,9 @@ class BreadthFirstLevels(Problem):
         res = state.values.monotone_min(v, cand)
         if not res.updated:
             return False
+        # Unfiltered and unkeyed: only the allpar scan calls this, with a
+        # worklist that discards pushes, and there the filter measured
+        # slower.
         worklist.push_all([(x, 0) for x in self._out[v]])
         return True
 
@@ -147,7 +166,7 @@ class BreadthFirstLevels(Problem):
             return False
         if state.values.monotone_min(v, cand).updated:
             stats.advances += 1
-            worklist.push_all([(x, 0) for x in self._out[v]])
+            self._push_improved(state.values.cells(), v, cand, worklist)
         else:
             stats.failed_replaces += 1
         return True

@@ -7,10 +7,11 @@ therefore permitted everywhere.
 
 Multi-consumer policies carry a :class:`QuiescenceToken` so workers can
 distinguish "momentarily empty" from "globally done": a worker may only
-exit after observing pending == 0 and in-flight == 0 in one consistent
-snapshot.  Pushes and pops on :class:`collections.deque` are GIL-atomic,
-so the queues themselves never block; only the token and the chunk pool
-take a short lock.
+exit after observing zero outstanding items, that is, every pushed item
+has been popped and its ``task_done`` called.  Pushes and pops on
+:class:`collections.deque` are GIL-atomic, so the queues themselves
+never block; pushes and ``task_done`` take the token's short lock (and
+an unbound push into a chunk pool one more), and pops take no lock.
 """
 
 from __future__ import annotations
@@ -24,37 +25,30 @@ WorkItem = Tuple[int, int]
 
 
 class QuiescenceToken:
-    """Tracks items not yet fully processed.
+    """Counts items pushed whose processing has not finished.
 
-    ``pending`` counts items pushed but not popped; ``in_flight`` counts
-    items popped whose processing has not finished.  Termination is only
-    sound when both are zero at the same instant, which `quiesce` checks
-    under the token lock.
+    ``outstanding`` rises on every push and falls in ``task_done``; a pop
+    leaves it alone.  A worker pushes an item's children before it calls
+    ``task_done`` for the item, so the count cannot touch zero while any
+    work remains, and reading zero once is enough to terminate.
     """
 
-    __slots__ = ("_lock", "pending", "in_flight")
+    __slots__ = ("_lock", "outstanding")
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.pending = 0
-        self.in_flight = 0
+        self.outstanding = 0
 
     def note_push(self, count: int = 1) -> None:
         with self._lock:
-            self.pending += count
-
-    def note_pop(self) -> None:
-        with self._lock:
-            self.pending -= 1
-            self.in_flight += 1
+            self.outstanding += count
 
     def note_done(self) -> None:
         with self._lock:
-            self.in_flight -= 1
+            self.outstanding -= 1
 
     def quiesce(self) -> bool:
-        with self._lock:
-            return self.pending == 0 and self.in_flight == 0
+        return self.outstanding == 0
 
 
 class Worklist:
@@ -163,11 +157,9 @@ class SharedBag(Worklist):
 
     def pop(self) -> Optional[WorkItem]:
         try:
-            item = self._queue.popleft()
+            return self._queue.popleft()
         except IndexError:
             return None
-        self.token.note_pop()
-        return item
 
     def task_done(self) -> None:
         self.token.note_done()
@@ -221,24 +213,18 @@ class PerThreadBag(Worklist):
         slot = self._slot()
         if slot is not None:
             try:
-                item = self._local[slot].pop()  # owner side: LIFO
-                self.token.note_pop()
-                return item
+                return self._local[slot].pop()  # owner side: LIFO
             except IndexError:
                 pass
         try:
-            item = self._injector.popleft()
-            self.token.note_pop()
-            return item
+            return self._injector.popleft()
         except IndexError:
             pass
         for victim, dq in enumerate(self._local):
             if victim == slot:
                 continue
             try:
-                item = dq.popleft()  # thief side: FIFO
-                self.token.note_pop()
-                return item
+                return dq.popleft()  # thief side: FIFO
             except IndexError:
                 continue
         return None
@@ -329,9 +315,7 @@ class ChunkedFifo(Worklist):
         active = self._active[slot] if slot is not None else None
         if active:
             try:
-                item = active.popleft()
-                self.token.note_pop()
-                return item
+                return active.popleft()
             except IndexError:
                 pass
         try:
@@ -345,7 +329,6 @@ class ChunkedFifo(Worklist):
                 # unbound caller: return the rest to the pool
                 if len(chunk) > 1:
                     self._pool.appendleft(chunk[1:])
-            self.token.note_pop()
             return chunk[0]
         if slot is not None and self._open[slot]:
             self._active[slot].extend(self._open[slot])
@@ -415,7 +398,6 @@ class BucketQueue(Worklist):
             except IndexError:
                 continue
             self._hint = b
-            self.token.note_pop()
             return item
         for b in range(0, min(start, n)):
             try:
@@ -423,7 +405,6 @@ class BucketQueue(Worklist):
             except IndexError:
                 continue
             self._hint = b
-            self.token.note_pop()
             return item
         return None
 

@@ -197,6 +197,7 @@ def test_criterion_8_race_regression_guard():
     _pass(8, f"{trials} two-writer race trials: final value always 3, never the stale 8")
 
 
+@pytest.mark.slow
 def test_criterion_9_scaling_direction_smoke():
     # Reported, logged, non-gating: CPython's GIL serializes CPU-bound
     # threads, so the ratio is recorded as measured rather than asserted.

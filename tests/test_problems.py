@@ -18,6 +18,7 @@ from llp.problems import (
     BreadthFirstLevels,
     JobScheduling,
     Knapsack,
+    ShortestPaths,
     StableMatching,
     TransitiveClosure,
     TreeReduction,
@@ -59,7 +60,30 @@ def test_sssp_concurrent_relax_keeps_shorter_path():
             assert got[3] == 3
 
 
+# v1 advances from INF to 1 along 0->1; its out-neighbours hold INF (v2),
+# exactly the candidate (v3), less than it (v4) and more than it (v5).
+PUSH_RULE_EDGES = [(0, 1, 1), (1, 2, 2), (1, 3, 5), (1, 4, 3), (1, 5, 3)]
+
+
+def test_sssp_ensure_pushes_only_improved_neighbours_at_their_candidate():
+    adapter = ShortestPaths(CsrGraph.from_edges(6, PUSH_RULE_EDGES), source=0)
+    state = GlobalState([0, INF, INF, 6, 2, 9])
+    bag = SeqBag()
+    assert adapter.ensure(state, 1, bag) is True
+    assert state.values.load(1) == 1
+    assert sorted(bag._items) == [(2, 1 + 2), (5, 1 + 3)]
+
+
 # --- BFS --------------------------------------------------------------------
+
+
+def test_bfs_ensure_pushes_only_improved_neighbours_at_their_candidate():
+    adapter = BreadthFirstLevels(CsrGraph.from_edges(6, PUSH_RULE_EDGES), source=0)
+    state = GlobalState([0, INF, INF, 2, 1, 5])
+    bag = SeqBag()
+    assert adapter.ensure(state, 1, bag) is True
+    assert state.values.load(1) == 1
+    assert sorted(bag._items) == [(2, 2), (5, 2)]
 
 
 def test_bfs_oracle_suite():

@@ -131,6 +131,27 @@ def test_state_selection_chain_work_gap():
     assert bag.stats.predicate_evals <= 10 * 256
 
 
+WORK_GUARD_SPEC = "randgraph:n=1500,m=6000,wmax=100"
+
+
+@pytest.mark.parametrize("problem,strategy,counter,per_vertex", [
+    ("sssp", "ptwb", "predicate_evals", 12),
+    ("sssp", "buckets", "advances", 1.05),
+    ("bfs", "swb", "predicate_evals", 5),
+    ("bfs", "ptcf", "predicate_evals", 5),
+    ("bfs", "buckets", "predicate_evals", 5),
+])
+def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
+    # Deterministic at one thread.  Pushing every out-neighbour instead of
+    # only the improved ones, or keying pushes on the relaxer's distance
+    # instead of the target's candidate, costs about 36 evaluations per
+    # vertex on ptwb, 1.27 advances on buckets and 8 evaluations on BFS.
+    inst = generate(WORK_GUARD_SPEC, 1)
+    result = run_solver(adapter_for(problem, inst), SolverConfig(strategy=strategy, threads=1))
+    count = getattr(result.stats, counter)
+    assert count <= per_vertex * inst.graph.num_vertices, count
+
+
 def test_no_forbidden_index_after_any_solve():
     inst = generate("randgraph:n=80,m=200,wmax=7", 2)
     for strategy in STRATEGIES:

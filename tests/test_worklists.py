@@ -1,6 +1,8 @@
 """Worklist policies: push/pop contracts and quiescence."""
 
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -148,13 +150,14 @@ def test_quiescence_all_counters_zero():
 
 
 def test_quiescence_blocks_on_in_flight_item():
-    token = QuiescenceToken()
-    token.note_push()
-    token.note_pop()  # popped but still processing
-    assert token.pending == 0
-    assert token.quiesce() is False
-    token.note_done()
-    assert token.quiesce() is True
+    for wl in (SharedBag(), PerThreadBag(), ChunkedFifo(), BucketQueue()):
+        wl.push((0, 0))
+        wl.seal_pending()
+        assert wl.pop() == (0, 0)  # popped but still processing
+        assert wl.pop() is None
+        assert wl.quiescent() is False
+        wl.task_done()
+        assert wl.quiescent() is True
 
 
 def test_quiescence_blocks_on_pending_item():
@@ -204,3 +207,56 @@ def test_no_worker_exits_while_items_remain(factory):
     assert processed[0] == 127
     assert wl.pop() is None
     assert wl.quiescent()
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: SharedBag(8),
+    lambda: PerThreadBag(8),
+    lambda: ChunkedFifo(8, chunk_size=4),
+    lambda: BucketQueue(8, num_buckets=16, delta=2),
+])
+def test_outstanding_counter_survives_fast_thread_switching(factory):
+    # Pops take no lock, so only pushes and task_done move the counter.
+    # A lost update would either end the drain early (too few items
+    # processed) or never let it reach zero (workers still alive).
+    wl = factory()
+    wl.push((1, 0))
+    wl.seal_pending()
+    counter_lock = threading.Lock()
+    processed = [0]
+    stop = threading.Event()
+
+    def worker(slot):
+        wl.bind(slot)
+        while not stop.is_set():
+            item = wl.pop()
+            if item is None:
+                if wl.quiescent():
+                    return
+                continue
+            try:
+                value = item[0]
+                with counter_lock:
+                    processed[0] += 1
+                if value < 1024:
+                    wl.push((2 * value, value))
+                    wl.push((2 * value + 1, value))
+            finally:
+                wl.task_done()
+
+    pool = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in pool:
+            t.start()
+        deadline = time.monotonic() + 30
+        for t in pool:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+        hung = [t for t in pool if t.is_alive()]
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not hung
+    assert processed[0] == 2047
+    assert wl.token.outstanding == 0
