@@ -24,6 +24,11 @@ class Knapsack(Problem):
     strand it.  Candidates computed from a partially-risen row k-1 are
     always lower bounds of the true DP value, so early advances are safe
     and the fixed point is the exact table.
+
+    Each tile is keyed by its item row k.  A tile of row k reads only
+    row k-1, so a policy that pops lower keys first finishes row k-1
+    before it reaches row k and advances each tile once, from its final
+    input row.  The key is only a hint: any order reaches the same table.
     """
 
     lattice = "max"
@@ -58,9 +63,7 @@ class Knapsack(Problem):
         return GlobalState(cells, work_size=self.size, recorder=recorder)
 
     def push_initial(self, state: GlobalState, worklist) -> None:
-        worklist.push_all(
-            (tile, (tile % self.strips) * self.tile_width) for tile in range(self.size)
-        )
+        worklist.push_all((tile, tile // self.strips + 1) for tile in range(self.size))
 
     def _target(self, cells, k: int, c: int) -> int:
         prev = (k - 1) * self.cols
@@ -102,9 +105,7 @@ class Knapsack(Problem):
                 shifted = c + w_next
                 if shifted < self.cols:
                     strips.add(shifted // width)
-            worklist.push_all(
-                (self.tile_of(k + 1, s), s * width) for s in sorted(strips)
-            )
+            worklist.push_all((self.tile_of(k + 1, s), k + 1) for s in sorted(strips))
         return True
 
     def final_solution(self, state: GlobalState) -> np.ndarray:

@@ -8,7 +8,7 @@ index is forbidden before the solution is extracted.
 Strategies
 ----------
 ``cyclic``   single thread, repeated full passes over all indices
-``bag``      single thread, seeded LIFO bag
+``bag``      single thread, seeded bag popping the lowest priority first
 ``allpar``   thread pool, repeated parallel full scans
 ``swb``      thread pool over one shared FIFO bag
 ``ptwb``     thread pool over per-thread work-stealing deques
@@ -98,8 +98,6 @@ def _finish(problem: Problem, state: GlobalState) -> SolveResult:
 
 def _make_worklist(config: SolverConfig) -> Worklist:
     s = config.strategy
-    if s in ("cyclic", "allpar"):
-        return NullWorklist()
     if s == "bag":
         return SeqBag()
     if s == "swb":
@@ -132,24 +130,6 @@ def _run_cyclic(problem: Problem, state: GlobalState) -> None:
             break
 
 
-def _run_bag(problem: Problem, state: GlobalState, worklist: Worklist) -> None:
-    problem.push_initial(state, worklist)
-    worklist.seal_pending()
-    memoizes = problem.memoizes
-    fixed = state.fixed
-    while True:
-        item = worklist.pop()
-        if item is None:
-            break
-        index = item[0]
-        try:
-            if memoizes and fixed.is_fixed(index):
-                continue
-            problem.ensure(state, index, worklist)
-        finally:
-            worklist.task_done()
-
-
 def _pool_worker(problem, state, worklist, slot, stop, errors, error_lock):
     worklist.bind(slot)
     memoizes = problem.memoizes
@@ -179,23 +159,27 @@ def _pool_worker(problem, state, worklist, slot, stop, errors, error_lock):
 
 
 def _run_pool(problem: Problem, state: GlobalState, worklist: Worklist, threads: int) -> None:
+    """Seed the worklist and drain it; one worker runs on the calling thread."""
     problem.push_initial(state, worklist)
     worklist.seal_pending()
     stop = threading.Event()
     errors: list = []
     error_lock = threading.Lock()
-    pool = [
-        threading.Thread(
-            target=_pool_worker,
-            args=(problem, state, worklist, slot, stop, errors, error_lock),
-            name=f"llp-worker-{slot}",
-        )
-        for slot in range(threads)
-    ]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
+    if threads == 1:
+        _pool_worker(problem, state, worklist, 0, stop, errors, error_lock)
+    else:
+        pool = [
+            threading.Thread(
+                target=_pool_worker,
+                args=(problem, state, worklist, slot, stop, errors, error_lock),
+                name=f"llp-worker-{slot}",
+            )
+            for slot in range(threads)
+        ]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join()
     if errors:
         raise errors[0]
 
@@ -272,15 +256,14 @@ def run_solver(
 ) -> SolveResult:
     """Solve and return the solution together with the final state.
 
-    ``worklist`` may override the bag used by the ``bag`` strategy (for
-    schedule-randomization tests); other strategies build their own.
+    ``worklist`` replaces the one a popping strategy would build (for
+    schedule-randomization tests and tracing); ``cyclic`` and ``allpar``
+    scan without one.
     """
     state = problem.init_state(recorder=recorder)
     strategy = config.strategy
     if strategy == "cyclic":
         _run_cyclic(problem, state)
-    elif strategy == "bag":
-        _run_bag(problem, state, worklist if worklist is not None else SeqBag())
     elif strategy == "allpar":
         _run_allpar(problem, state, config.threads)
     else:

@@ -16,6 +16,7 @@ an unbound push into a chunk pool one more), and pops take no lock.
 
 from __future__ import annotations
 
+import heapq
 import random
 import threading
 from collections import deque
@@ -96,21 +97,38 @@ class NullWorklist(Worklist):
 
 
 class SeqBag(Worklist):
-    """Single-thread LIFO bag."""
+    """Single-thread bag: lowest priority first, LIFO among equal priorities.
+
+    Ordered-by-integer-metric bins in the style of Galois OBIM: one list
+    per priority, plus a heap of the priorities whose list is non-empty.
+    The order is exact, so candidate-keyed pushes pop as in Dijkstra's
+    algorithm.  An adapter that pushes only priority 0 gets a plain LIFO.
+    """
 
     def __init__(self):
-        self._items = []
+        self._bins = {}
+        self._keys = []
 
     def push(self, item: WorkItem) -> None:
-        self._items.append(item)
+        bin_ = self._bins.get(item[1])
+        if bin_ is None:
+            self._bins[item[1]] = [item]
+            heapq.heappush(self._keys, item[1])
+        else:
+            bin_.append(item)
 
     def pop(self) -> Optional[WorkItem]:
-        if self._items:
-            return self._items.pop()
-        return None
+        keys = self._keys
+        if not keys:
+            return None
+        bin_ = self._bins[keys[0]]
+        item = bin_.pop()
+        if not bin_:
+            del self._bins[heapq.heappop(keys)]
+        return item
 
     def __len__(self) -> int:
-        return len(self._items)
+        return sum(map(len, self._bins.values()))
 
 
 class RandomOrderBag(Worklist):
@@ -173,8 +191,8 @@ class PerThreadBag(Worklist):
 
     Owners pop LIFO from their own deque; thieves steal FIFO from the
     opposite end, the classic work-stealing split.  ``push_all`` orders a
-    batch so the lowest-priority item is pushed last and hence popped
-    first by the owner, which realizes the recency bias that makes this
+    batch so its lowest-priority item is popped first, by the owner or
+    from the injector, which realizes the recency bias that makes this
     policy effective for shortest-path relaxation.
     """
 
@@ -201,11 +219,14 @@ class PerThreadBag(Worklist):
             self._local[slot].append(item)
 
     def push_all(self, items: Iterable[WorkItem]) -> None:
-        batch = sorted(items, key=lambda it: it[1], reverse=True)
+        slot = self._slot()
+        # Owners pop their deque LIFO and the injector is popped FIFO, so
+        # the batch goes in descending order into a deque, ascending into
+        # the injector.  The sort is stable either way.
+        batch = sorted(items, key=lambda it: it[1], reverse=slot is not None)
         if not batch:
             return
         self.token.note_push(len(batch))
-        slot = self._slot()
         dq = self._injector if slot is None else self._local[slot]
         dq.extend(batch)
 

@@ -130,7 +130,7 @@ def test_ensure_advances_forbidden_vertex_and_pushes_neighbours():
     assert adapter.ensure(state, 1, bag) is True
     assert state.values.load(1) == 2
     assert state.values.load(0) == 0
-    assert set(bag._items) == {(2, 2 + 3)}  # (v2, d(v1) + w(1, 2))
+    assert set(iter(bag.pop, None)) == {(2, 2 + 3)}  # (v2, d(v1) + w(1, 2))
     assert state.stats.predicate_evals == 1
     assert state.stats.advances == 1
 

@@ -71,7 +71,7 @@ def test_sssp_ensure_pushes_only_improved_neighbours_at_their_candidate():
     bag = SeqBag()
     assert adapter.ensure(state, 1, bag) is True
     assert state.values.load(1) == 1
-    assert sorted(bag._items) == [(2, 1 + 2), (5, 1 + 3)]
+    assert sorted(iter(bag.pop, None)) == [(2, 1 + 2), (5, 1 + 3)]
 
 
 # --- BFS --------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_bfs_ensure_pushes_only_improved_neighbours_at_their_candidate():
     bag = SeqBag()
     assert adapter.ensure(state, 1, bag) is True
     assert state.values.load(1) == 1
-    assert sorted(bag._items) == [(2, 2), (5, 2)]
+    assert sorted(iter(bag.pop, None)) == [(2, 2), (5, 2)]
 
 
 def test_bfs_oracle_suite():

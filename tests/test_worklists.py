@@ -32,6 +32,13 @@ def test_seq_bag_is_lifo():
     wl.push_all([(1, 0), (2, 0), (3, 0)])
     assert [wl.pop()[0] for _ in range(3)] == [3, 2, 1]
     assert wl.pop() is None
+    # Mixed priorities: the lowest first, LIFO among equal priorities.
+    wl.push_all([(1, 5), (2, 3), (3, 5), (4, 3), (5, 9)])
+    assert wl.pop() == (4, 3)
+    wl.push((6, 1))  # a lower key pushed mid-drain comes out next
+    wl.push((7, 5))
+    assert [item[0] for item in iter(wl.pop, None)] == [6, 2, 7, 3, 1, 5]
+    assert len(wl) == 0
 
 
 def test_random_order_bag_reproducible_and_complete():
@@ -93,6 +100,12 @@ def test_per_thread_bag_prefers_local_items():
     wl.push((1, 0))
     assert wl.pop()[0] == 1  # local deque first, injector untouched
     assert wl.pop()[0] == 9
+
+
+def test_per_thread_bag_unbound_batch_pops_lowest_priority_first():
+    wl = PerThreadBag(workers=2)
+    wl.push_all([(1, 20), (2, 0), (3, 10)])  # unbound: into the FIFO injector
+    assert [item[0] for item in iter(wl.pop, None)] == [2, 3, 1]
 
 
 def test_per_thread_bag_owner_lifo_thief_fifo():
