@@ -11,7 +11,7 @@ Strategies
 ``bag``      single thread, seeded bag popping the lowest priority first
 ``allpar``   thread pool, repeated parallel full scans
 ``swb``      thread pool over one shared FIFO bag
-``ptwb``     thread pool over per-thread work-stealing deques
+``ptwb``     thread pool over per-thread priority bins with work stealing
 ``ptcf``     thread pool over per-thread chunked FIFOs
 ``buckets``  thread pool over a priority bucket queue
 """

@@ -9,9 +9,11 @@ Multi-consumer policies carry a :class:`QuiescenceToken` so workers can
 distinguish "momentarily empty" from "globally done": a worker may only
 exit after observing zero outstanding items, that is, every pushed item
 has been popped and its ``task_done`` called.  Pushes and pops on
-:class:`collections.deque` are GIL-atomic, so the queues themselves
+:class:`collections.deque` are GIL-atomic, so the deque-based queues
 never block; pushes and ``task_done`` take the token's short lock (and
-an unbound push into a chunk pool one more), and pops take no lock.
+an unbound push into a chunk pool one more), and their pops take no
+lock.  :class:`PerThreadBag` keeps priority bins, which are not atomic,
+so its pushes and pops also hold the lock of the bin set they touch.
 """
 
 from __future__ import annotations
@@ -187,67 +189,81 @@ class SharedBag(Worklist):
 
 
 class PerThreadBag(Worklist):
-    """Per-worker deques plus a global injector (PTWB).
+    """Per-worker priority bins plus a global injector (PTWB).
 
-    Owners pop LIFO from their own deque; thieves steal FIFO from the
-    opposite end, the classic work-stealing split.  ``push_all`` orders a
-    batch so its lowest-priority item is popped first, by the owner or
-    from the injector, which realizes the recency bias that makes this
-    policy effective for shortest-path relaxation.
+    Each worker slot and the injector hold a :class:`SeqBag`, so every
+    bin set pops its lowest priority first, as in Galois OBIM
+    (ordered-by-integer-metric) scheduling applied per worker.  A bound
+    caller pushes into its own bins and an unbound one into the
+    injector.  An owner pops from whichever of its own bins and the
+    injector holds the lower priority, so seeds and later pushes
+    interleave by priority; an owner with neither steals a victim's
+    lowest-priority item.
+
+    Locking: a push or pop, by owner or thief, holds the lock of the one
+    bin set it changes.  Pushes and ``task_done`` also take the
+    quiescence token's lock, never while holding a bin set's.  To choose
+    where to pop and to skip empty bin sets, a pop reads lowest
+    priorities without any lock; a concurrent pop may empty a bin set
+    between the emptiness test and the index, and that miss reads as
+    empty.  A stale reading only changes which bin set is tried first,
+    or leaves an item for the next poll (the outstanding count keeps
+    workers polling until it is taken), never what a pop takes under
+    the lock.
     """
 
     multi_consumer = True
 
     def __init__(self, workers: int = 1):
-        self._injector = deque()
-        self._local = [deque() for _ in range(workers)]
+        # Slots 0..workers-1 belong to the workers; the last is the injector.
+        self._bins = [SeqBag() for _ in range(workers + 1)]
+        self._locks = [threading.Lock() for _ in range(workers + 1)]
         self._slots = {}
         self.token = QuiescenceToken()
 
     def bind(self, slot: int) -> None:
         self._slots[threading.get_ident()] = slot
 
-    def _slot(self) -> Optional[int]:
-        return self._slots.get(threading.get_ident())
+    def _own(self) -> int:
+        """The caller's bin set: its worker slot, or the injector if unbound."""
+        return self._slots.get(threading.get_ident(), len(self._bins) - 1)
+
+    def _take(self, i: int) -> Optional[WorkItem]:
+        bag = self._bins[i]
+        if not bag._keys:
+            return None
+        with self._locks[i]:
+            return bag.pop()
 
     def push(self, item: WorkItem) -> None:
         self.token.note_push()
-        slot = self._slot()
-        if slot is None:
-            self._injector.append(item)
-        else:
-            self._local[slot].append(item)
+        i = self._own()
+        with self._locks[i]:
+            self._bins[i].push(item)
 
     def push_all(self, items: Iterable[WorkItem]) -> None:
-        slot = self._slot()
-        # Owners pop their deque LIFO and the injector is popped FIFO, so
-        # the batch goes in descending order into a deque, ascending into
-        # the injector.  The sort is stable either way.
-        batch = sorted(items, key=lambda it: it[1], reverse=slot is not None)
+        batch = list(items)
         if not batch:
             return
         self.token.note_push(len(batch))
-        dq = self._injector if slot is None else self._local[slot]
-        dq.extend(batch)
+        i = self._own()
+        with self._locks[i]:
+            self._bins[i].push_all(batch)
 
     def pop(self) -> Optional[WorkItem]:
-        slot = self._slot()
-        if slot is not None:
-            try:
-                return self._local[slot].pop()  # owner side: LIFO
-            except IndexError:
-                pass
-        try:
-            return self._injector.popleft()
-        except IndexError:
-            pass
-        for victim, dq in enumerate(self._local):
-            if victim == slot:
-                continue
-            try:
-                return dq.popleft()  # thief side: FIFO
-            except IndexError:
-                continue
+        own = self._own()
+        injector = len(self._bins) - 1
+        first, second = own, injector
+        if _lowest(self._bins[injector]) < _lowest(self._bins[own]):
+            first, second = injector, own
+        item = self._take(first) or self._take(second)
+        if item is not None:
+            return item
+        for victim in range(injector):
+            if victim != own:
+                item = self._take(victim)
+                if item is not None:
+                    return item
         return None
 
     def task_done(self) -> None:
@@ -255,6 +271,18 @@ class PerThreadBag(Worklist):
 
     def quiescent(self) -> bool:
         return self.token.quiesce()
+
+
+_EMPTY = float("inf")
+
+
+def _lowest(bag: SeqBag) -> float:
+    """Lowest priority held by ``bag``, read without its lock; inf if empty."""
+    keys = bag._keys
+    try:
+        return keys[0] if keys else _EMPTY
+    except IndexError:  # emptied by another thread after the test
+        return _EMPTY
 
 
 class ChunkedFifo(Worklist):

@@ -136,12 +136,14 @@ WORK_GUARD_SPEC = "randgraph:n=1500,m=6000,wmax=100"
 
 @pytest.mark.parametrize("problem,strategy,counter,per_vertex", [
     ("sssp", "ptwb", "predicate_evals", 12),
+    ("sssp", "ptwb", "advances", 1.05),
     ("sssp", "buckets", "advances", 1.05),
     ("sssp", "bag", "advances", 1.05),
     ("bfs", "swb", "predicate_evals", 5),
     ("bfs", "ptcf", "predicate_evals", 5),
     ("bfs", "buckets", "predicate_evals", 5),
     ("bfs", "bag", "predicate_evals", 5),
+    ("bfs", "ptwb", "predicate_evals", 5),
 ])
 def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
     # Deterministic at one thread.  Pushing every out-neighbour instead of
@@ -149,7 +151,8 @@ def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
     # instead of the target's candidate, costs about 36 evaluations per
     # vertex on ptwb, 1.27 advances on buckets and 8 evaluations on BFS.
     # A bag that ignores priorities costs 5.5 SSSP advances and 8.6 BFS
-    # evaluations per vertex.
+    # evaluations per vertex; ptwb with LIFO owner deques 2.8 SSSP
+    # advances and 9.5 BFS evaluations.
     inst = generate(WORK_GUARD_SPEC, 1)
     result = run_solver(adapter_for(problem, inst), SolverConfig(strategy=strategy, threads=1))
     count = getattr(result.stats, counter)
@@ -157,11 +160,12 @@ def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
 
 
 @pytest.mark.parametrize("spec", ["knap:n=20,cap=200,wmax=20", "knap:n=60,cap=2000"])
-@pytest.mark.parametrize("strategy", ["bag", "buckets"])
+@pytest.mark.parametrize("strategy", ["bag", "buckets", "ptwb"])
 def test_knapsack_advances_each_tile_at_most_once(spec, strategy):
     # Tiles keyed by item row pop row by row, each from a complete input
     # row.  Keyed by column offset, bag makes 10.5 and 112.5 advances per
-    # tile on these instances, and buckets 5.25 on the larger one.
+    # tile on these instances, and buckets 5.25 on the larger one; ptwb
+    # with LIFO owner deques makes 56.8 on the larger one.
     adapter = adapter_for("knapsack", generate(spec, 1))
     result = run_solver(adapter, SolverConfig(strategy=strategy, threads=1))
     assert result.stats.advances <= adapter.size, result.stats.advances

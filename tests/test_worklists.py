@@ -108,12 +108,11 @@ def test_per_thread_bag_unbound_batch_pops_lowest_priority_first():
     assert [item[0] for item in iter(wl.pop, None)] == [2, 3, 1]
 
 
-def test_per_thread_bag_owner_lifo_thief_fifo():
+def test_per_thread_bag_owner_and_thief_pop_lowest_priority_first():
     wl = PerThreadBag(workers=2)
     wl.bind(0)
-    wl.push_all([(1, 10), (2, 20), (3, 30)])
-    # Lowest priority is pushed last, so the owner pops it first.
-    assert wl.pop()[0] == 1
+    wl.push_all([(1, 20), (2, 10), (3, 30), (4, 20)])
+    assert wl.pop()[0] == 2  # the owner's lowest priority
 
     stolen = []
 
@@ -124,8 +123,31 @@ def test_per_thread_bag_owner_lifo_thief_fifo():
 
     t = threading.Thread(target=thief)
     t.start()
-    t.join()
-    assert stolen == [3, 2]  # FIFO from the victim's cold end
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert stolen == [4, 1, 3]  # the victim's lowest first, LIFO among ties
+
+
+def test_per_thread_bag_owner_pops_lower_of_own_and_injector():
+    wl = PerThreadBag(workers=2)
+    wl.push_all([(1, 0), (2, 30)])  # unbound: into the injector
+    wl.bind(0)
+    wl.push_all([(3, 10), (4, 40)])
+    assert [item[0] for item in iter(wl.pop, None)] == [1, 3, 2, 4]
+
+
+def test_per_thread_bag_peek_reads_a_just_emptied_bin_set_as_empty():
+    # Another worker may pop a bin set empty between a peek's emptiness
+    # test and its index; the peek must not raise.
+    class EmptiedAfterTest(list):
+        def __bool__(self):
+            return True
+
+    wl = PerThreadBag(workers=2)
+    wl.bind(0)
+    wl.push((1, 5))
+    wl._bins[-1]._keys = EmptiedAfterTest()  # the injector's live priorities
+    assert wl.pop() == (1, 5)
 
 
 def test_chunked_fifo_seals_and_recovers_partial_chunks():
@@ -179,6 +201,18 @@ def test_quiescence_blocks_on_pending_item():
     assert token.quiesce() is False
 
 
+def _recording(errors):
+    """Wrap a thread target so an exception it raises lands in ``errors``."""
+    def wrap(target):
+        def run(*args):
+            try:
+                target(*args)
+            except Exception as exc:  # reported by the test, not by the thread
+                errors.append(exc)
+        return run
+    return wrap
+
+
 @pytest.mark.parametrize("factory", [
     lambda: SharedBag(8),
     lambda: PerThreadBag(8),
@@ -193,7 +227,9 @@ def test_no_worker_exits_while_items_remain(factory):
     wl.seal_pending()
     counter_lock = threading.Lock()
     processed = [0]
+    errors = []
 
+    @_recording(errors)
     def worker(slot):
         wl.bind(slot)
         while True:
@@ -211,11 +247,15 @@ def test_no_worker_exits_while_items_remain(factory):
             finally:
                 wl.task_done()
 
-    pool = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+    # Daemon threads, so a drain that never ends fails the test instead
+    # of keeping the process alive.
+    pool = [threading.Thread(target=worker, args=(slot,), daemon=True) for slot in range(8)]
     for t in pool:
         t.start()
     for t in pool:
-        t.join()
+        t.join(timeout=30)
+    assert not [t for t in pool if t.is_alive()]
+    assert errors == []
     # Nodes 1..127 of the implicit binary tree are each seen once.
     assert processed[0] == 127
     assert wl.pop() is None
@@ -237,8 +277,10 @@ def test_outstanding_counter_survives_fast_thread_switching(factory):
     wl.seal_pending()
     counter_lock = threading.Lock()
     processed = [0]
+    errors = []
     stop = threading.Event()
 
+    @_recording(errors)
     def worker(slot):
         wl.bind(slot)
         while not stop.is_set():
@@ -271,5 +313,6 @@ def test_outstanding_counter_survives_fast_thread_switching(factory):
         stop.set()
         sys.setswitchinterval(interval)
     assert not hung
+    assert errors == []
     assert processed[0] == 2047
     assert wl.token.outstanding == 0
