@@ -30,8 +30,6 @@ from .solvers import (
     SolverConfig,
     run_solver,
     solve,
-    solve_parallel,
-    solve_sequential,
 )
 
 __all__ = [
@@ -59,8 +57,6 @@ __all__ = [
     "SolverConfig",
     "run_solver",
     "solve",
-    "solve_parallel",
-    "solve_sequential",
 ]
 
 __version__ = "0.1.0"

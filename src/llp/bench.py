@@ -73,7 +73,10 @@ def thread_cap() -> Optional[int]:
     raw = os.environ.get("LLP_THREADS_CAP")
     if not raw:
         return None
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"LLP_THREADS_CAP must be an integer, got {raw!r}") from None
     return cap if cap >= 1 else 1
 
 

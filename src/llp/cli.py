@@ -128,6 +128,11 @@ def _cmd_run(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        bench.thread_cap()
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "run":

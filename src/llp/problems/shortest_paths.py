@@ -46,10 +46,9 @@ class ShortestPaths(Problem):
         if items:
             worklist.push_all(items)
 
-    def _best_in(self, state: GlobalState, v: int) -> int:
+    def _best_in(self, cells: list, v: int) -> int:
         # INF plus a weight exceeds INF and never wins, so unreached
         # neighbours need no special case.
-        cells = state.values.cells()
         best = INF
         for u, w in self._in[v]:
             cand = cells[u] + w
@@ -57,18 +56,24 @@ class ShortestPaths(Problem):
                 best = cand
         return best
 
+    def _lower(self, state: GlobalState, v: int, d: int, worklist) -> bool:
+        """Lower d(v) to ``d`` and push the out-neighbours that lowering improves.
+
+        False when a concurrent relax got there first.
+        """
+        if not state.values.monotone_min(v, d).updated:
+            return False
+        self._push_improved(state.values.cells(), v, d, worklist)
+        return True
+
     def is_forbidden(self, state: GlobalState, v: int) -> bool:
         if v == self.source:
             return False
-        return self._best_in(state, v) < state.values.load(v)
+        cells = state.values.cells()
+        return self._best_in(cells, v) < cells[v]
 
     def advance(self, state: GlobalState, v: int, worklist) -> bool:
-        cand = self._best_in(state, v)
-        res = state.values.monotone_min(v, cand)
-        if not res.updated:
-            return False  # a concurrent relax got there first
-        self._push_improved(state.values.cells(), v, cand, worklist)
-        return True
+        return self._lower(state, v, self._best_in(state.values.cells(), v), worklist)
 
     def ensure(self, state: GlobalState, v: int, worklist) -> bool:
         # Single-scan override: the relaxation candidate from the check
@@ -78,16 +83,11 @@ class ShortestPaths(Problem):
         if v == self.source:
             return False
         cells = state.values.cells()
-        best = INF
-        for u, w in self._in[v]:
-            cand = cells[u] + w
-            if cand < best:
-                best = cand
-        if best >= cells[v]:
+        cand = self._best_in(cells, v)
+        if cand >= cells[v]:
             return False
-        if state.values.monotone_min(v, best).updated:
+        if self._lower(state, v, cand, worklist):
             stats.advances += 1
-            self._push_improved(cells, v, best, worklist)
         else:
             stats.failed_replaces += 1
         return True
@@ -96,17 +96,15 @@ class ShortestPaths(Problem):
         return np.array(state.values.snapshot(), dtype=np.uint64)
 
 
-class BreadthFirstLevels(Problem):
+class BreadthFirstLevels(ShortestPaths):
     """Hop levels from a source; shortest paths with every weight one.
 
     A vertex is forbidden when an in-neighbour sits more than one level
-    below it.  ``ensure`` advancing v to level d pushes only the
-    out-neighbours x with d + 1 < d(x), each keyed by its candidate level
-    d + 1, by the same rule as :class:`ShortestPaths`.  ``advance``
-    pushes every out-neighbour at priority zero.
+    below it.  The check, the advance and ``ensure`` are those of
+    :class:`ShortestPaths` over unweighted adjacency: lowering v to level
+    d pushes only the out-neighbours x with d + 1 < d(x), each keyed by
+    its candidate level d + 1.
     """
-
-    lattice = "min"
 
     def __init__(self, graph: CsrGraph, source: int = 0):
         if not 0 <= source < graph.num_vertices:
@@ -117,11 +115,6 @@ class BreadthFirstLevels(Problem):
         self._out = [[v for v, _w in row] for row in graph.adjacency_lists()]
         self._in = [[v for v, _w in row] for row in graph.reversed().adjacency_lists()]
 
-    def init_state(self, recorder=None) -> GlobalState:
-        values = [INF] * self.size
-        values[self.source] = 0
-        return GlobalState(values, recorder=recorder)
-
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((v, 0) for v in self._out[self.source])
 
@@ -131,45 +124,10 @@ class BreadthFirstLevels(Problem):
         if items:
             worklist.push_all(items)
 
-    def _best_in(self, state: GlobalState, v: int) -> int:
-        cells = state.values.cells()
+    def _best_in(self, cells: list, v: int) -> int:
         best = INF
         for u in self._in[v]:
             d = cells[u]
             if d < best:
                 best = d
         return saturating_add(best, 1)
-
-    def is_forbidden(self, state: GlobalState, v: int) -> bool:
-        if v == self.source:
-            return False
-        return self._best_in(state, v) < state.values.load(v)
-
-    def advance(self, state: GlobalState, v: int, worklist) -> bool:
-        cand = self._best_in(state, v)
-        res = state.values.monotone_min(v, cand)
-        if not res.updated:
-            return False
-        # Unfiltered and unkeyed: only the allpar scan calls this, with a
-        # worklist that discards pushes, and there the filter measured
-        # slower.
-        worklist.push_all([(x, 0) for x in self._out[v]])
-        return True
-
-    def ensure(self, state: GlobalState, v: int, worklist) -> bool:
-        stats = state.stats
-        stats.predicate_evals += 1
-        if v == self.source:
-            return False
-        cand = self._best_in(state, v)
-        if cand >= state.values.load(v):
-            return False
-        if state.values.monotone_min(v, cand).updated:
-            stats.advances += 1
-            self._push_improved(state.values.cells(), v, cand, worklist)
-        else:
-            stats.failed_replaces += 1
-        return True
-
-    def final_solution(self, state: GlobalState) -> np.ndarray:
-        return np.array(state.values.snapshot(), dtype=np.uint64)

@@ -1,15 +1,18 @@
 """Solver strategies: sequential scans, bags, and worker pools.
 
-Every strategy drives the same :class:`~llp.core.Problem` contract and
-converges to the same fixed point; they differ only in how candidate
-indices are selected.  After any solve, a full scan asserts that no
-index is forbidden before the solution is extracted.
+Every strategy calls :meth:`~llp.core.Problem.ensure` on the indices it
+selects and converges to the same fixed point; they differ only in how
+indices are selected.  ``cyclic`` and ``allpar`` sweep index ranges in
+passes until one pass finds nothing forbidden; the others pop a
+worklist until it is quiescent.  One harness starts, joins and reports
+the errors of every strategy's workers.  After any solve, a full scan
+asserts that no index is forbidden before the solution is extracted.
 
 Strategies
 ----------
-``cyclic``   single thread, repeated full passes over all indices
+``cyclic``   single thread, repeated descending passes over all indices
 ``bag``      single thread, seeded bag popping the lowest priority first
-``allpar``   thread pool, repeated parallel full scans
+``allpar``   thread pool, repeated parallel passes over static ranges
 ``swb``      thread pool over one shared FIFO bag
 ``ptwb``     thread pool over per-thread priority bins with work stealing
 ``ptcf``     thread pool over per-thread chunked FIFOs
@@ -101,7 +104,7 @@ def _make_worklist(config: SolverConfig) -> Worklist:
     if s == "bag":
         return SeqBag()
     if s == "swb":
-        return SharedBag(config.threads)
+        return SharedBag()
     if s == "ptwb":
         return PerThreadBag(config.threads)
     if s == "ptcf":
@@ -111,69 +114,30 @@ def _make_worklist(config: SolverConfig) -> Worklist:
     raise ValueError(s)
 
 
-def _run_cyclic(problem: Problem, state: GlobalState) -> None:
-    # Descending passes: an ascending pass would settle cascading chains
-    # in a single sweep, hiding exactly the redundant re-examination this
-    # naive strategy is meant to exhibit.
-    worklist = NullWorklist()
-    memoizes = problem.memoizes
-    fixed = state.fixed
-    indices = range(problem.size - 1, -1, -1)
-    while True:
-        found = False
-        for index in indices:
-            if memoizes and fixed.is_fixed(index):
-                continue
-            if problem.ensure(state, index, worklist):
-                found = True
-        if not found:
-            break
+def _run_workers(threads: int, work, abort) -> None:
+    """Run ``work(slot)`` for every slot and re-raise the first error.
 
-
-def _pool_worker(problem, state, worklist, slot, stop, errors, error_lock):
-    worklist.bind(slot)
-    memoizes = problem.memoizes
-    fixed = state.fixed
-    ensure = problem.ensure
-    pop = worklist.pop
-    done = worklist.task_done
-    try:
-        while not stop.is_set():
-            item = pop()
-            if item is None:
-                if worklist.quiescent():
-                    return
-                time.sleep(0)
-                continue
-            index = item[0]
-            try:
-                if memoizes and fixed.is_fixed(index):
-                    continue
-                ensure(state, index, worklist)
-            finally:
-                done()
-    except BaseException as exc:  # first error wins; peers drain and exit
-        with error_lock:
-            errors.append(exc)
-        stop.set()
-
-
-def _run_pool(problem: Problem, state: GlobalState, worklist: Worklist, threads: int) -> None:
-    """Seed the worklist and drain it; one worker runs on the calling thread."""
-    problem.push_initial(state, worklist)
-    worklist.seal_pending()
-    stop = threading.Event()
+    One worker runs inline on the calling thread; more start one thread
+    each and are all joined.  A failing worker records its error, then
+    calls ``abort`` so its peers stop; their later errors (a broken
+    barrier, say) queue behind it and are dropped.
+    """
     errors: list = []
     error_lock = threading.Lock()
+
+    def run(slot: int) -> None:
+        try:
+            work(slot)
+        except BaseException as exc:  # first error wins; re-raised below
+            with error_lock:
+                errors.append(exc)
+            abort()
+
     if threads == 1:
-        _pool_worker(problem, state, worklist, 0, stop, errors, error_lock)
+        run(0)
     else:
         pool = [
-            threading.Thread(
-                target=_pool_worker,
-                args=(problem, state, worklist, slot, stop, errors, error_lock),
-                name=f"llp-worker-{slot}",
-            )
+            threading.Thread(target=run, args=(slot,), name=f"llp-worker-{slot}")
             for slot in range(threads)
         ]
         for t in pool:
@@ -184,67 +148,69 @@ def _run_pool(problem: Problem, state: GlobalState, worklist: Worklist, threads:
         raise errors[0]
 
 
-def _allpar_worker(problem, state, lo, hi, me, flags, barrier, errors, error_lock):
+def _pool_worker(problem, state, worklist, slot, stop):
+    worklist.bind(slot)
+    memoizes = problem.memoizes
+    fixed = state.fixed
+    ensure = problem.ensure
+    pop = worklist.pop
+    done = worklist.task_done
+    while not stop.is_set():
+        item = pop()
+        if item is None:
+            if worklist.quiescent():
+                return
+            time.sleep(0)
+            continue
+        index = item[0]
+        try:
+            if memoizes and fixed.is_fixed(index):
+                continue
+            ensure(state, index, worklist)
+        finally:
+            done()
+
+
+def _run_pool(problem: Problem, state: GlobalState, worklist: Worklist, threads: int) -> None:
+    """Seed the worklist and drain it; a failing worker stops its peers."""
+    problem.push_initial(state, worklist)
+    worklist.seal_pending()
+    stop = threading.Event()
+    _run_workers(threads, lambda slot: _pool_worker(problem, state, worklist, slot, stop), stop.set)
+
+
+def _run_scan(problem: Problem, state: GlobalState, ranges: list) -> None:
+    """Sweep ``ensure`` over each index range, one worker per range.
+
+    Passes repeat behind a barrier until one pass in which no ``ensure``
+    returned True.  Such a pass advanced nothing, so every check in it
+    read the final state and found its index not forbidden: the state is
+    a fixed point.
+    """
     worklist = NullWorklist()
     memoizes = problem.memoizes
     fixed = state.fixed
-    stats = state.stats
-    quiet_passes = 0
-    try:
+    ensure = problem.ensure
+    flags = [False] * len(ranges)
+    barrier = threading.Barrier(len(ranges))
+
+    def scan(me: int) -> None:
+        indices = ranges[me]
         while True:
-            barrier.wait()
-            changed = False
-            for index in range(lo, hi):
+            barrier.wait()  # no worker rewrites its flag before all have read them
+            found = False
+            for index in indices:
                 if memoizes and fixed.is_fixed(index):
                     continue
-                stats.predicate_evals += 1
-                if problem.is_forbidden(state, index):
-                    if problem.advance(state, index, worklist):
-                        stats.advances += 1
-                        changed = True
-                    else:
-                        stats.failed_replaces += 1
-            flags[me] = changed
+                if ensure(state, index, worklist):
+                    found = True
+            flags[me] = found
             barrier.wait()
-            # Every worker derives the same verdict from the shared flags.
-            if any(flags):
-                quiet_passes = 0
-            else:
-                quiet_passes += 1
-                if quiet_passes > 1:
-                    return
-    except threading.BrokenBarrierError:
-        return
-    except BaseException as exc:
-        with error_lock:
-            errors.append(exc)
-        barrier.abort()
+            # Every worker reads the same flags, so all stop on the same pass.
+            if not any(flags):
+                return
 
-
-def _run_allpar(problem: Problem, state: GlobalState, threads: int) -> None:
-    n = problem.size
-    threads = min(threads, n) or 1
-    # Static contiguous partition of the index space.
-    step = (n + threads - 1) // threads
-    ranges = [(i * step, min(n, (i + 1) * step)) for i in range(threads)]
-    flags = [False] * threads
-    barrier = threading.Barrier(threads)
-    errors: list = []
-    error_lock = threading.Lock()
-    pool = [
-        threading.Thread(
-            target=_allpar_worker,
-            args=(problem, state, lo, hi, me, flags, barrier, errors, error_lock),
-            name=f"llp-scan-{me}",
-        )
-        for me, (lo, hi) in enumerate(ranges)
-    ]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
-    if errors:
-        raise errors[0]
+    _run_workers(len(ranges), scan, barrier.abort)
 
 
 def run_solver(
@@ -262,10 +228,17 @@ def run_solver(
     """
     state = problem.init_state(recorder=recorder)
     strategy = config.strategy
+    n = problem.size
     if strategy == "cyclic":
-        _run_cyclic(problem, state)
+        # Descending passes: an ascending pass would settle cascading chains
+        # in a single sweep, hiding exactly the redundant re-examination this
+        # naive strategy is meant to exhibit.
+        _run_scan(problem, state, [range(n - 1, -1, -1)])
     elif strategy == "allpar":
-        _run_allpar(problem, state, config.threads)
+        # Static contiguous partition of the index space.
+        threads = min(config.threads, n) or 1
+        step = (n + threads - 1) // threads
+        _run_scan(problem, state, [range(i * step, min(n, (i + 1) * step)) for i in range(threads)])
     else:
         if worklist is None:
             worklist = _make_worklist(config)
@@ -279,14 +252,3 @@ def solve(problem: Problem, config: Optional[SolverConfig] = None, **kwargs) -> 
         config = SolverConfig(**kwargs)
     return run_solver(problem, config).solution
 
-
-def solve_sequential(problem: Problem, strategy: str = "bag") -> np.ndarray:
-    if strategy not in SEQUENTIAL_STRATEGIES:
-        raise ValueError(f"{strategy!r} is not a sequential strategy")
-    return solve(problem, SolverConfig(strategy=strategy))
-
-
-def solve_parallel(problem: Problem, strategy: str, threads: int, **kwargs) -> np.ndarray:
-    if strategy not in PARALLEL_STRATEGIES:
-        raise ValueError(f"{strategy!r} is not a parallel strategy")
-    return solve(problem, SolverConfig(strategy=strategy, threads=threads, **kwargs))

@@ -161,7 +161,7 @@ class SharedBag(Worklist):
 
     multi_consumer = True
 
-    def __init__(self, workers: int = 1):
+    def __init__(self):
         self._queue = deque()
         self.token = QuiescenceToken()
 

@@ -16,8 +16,10 @@ from llp.bench import (
     run_verify,
     solution_checksum,
 )
+from llp.cli import main
 from llp.problems import adapter_for
 from llp.problems.shortest_paths import ShortestPaths
+from llp.solvers import STRATEGIES
 
 
 def test_fnv1a_reference_vectors():
@@ -41,6 +43,17 @@ def test_cap_threads_env(monkeypatch):
     assert cap_threads([1, 2, 4, 8]) == [1, 2]
 
 
+def test_non_integer_threads_cap_is_a_configuration_error(monkeypatch, capsys):
+    monkeypatch.setenv("LLP_THREADS_CAP", "two")
+    for argv in (
+        ["verify", "--problems", "sssp", "--seeds", "1"],
+        ["run", "--problem", "sssp", "--instance", "chain:8", "--solvers", "bag"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: LLP_THREADS_CAP must be an integer, got 'two'\n"
+
+
 def test_run_verify_small_matrix_passes():
     report = run_verify(["sssp", "knapsack"], seeds=2, max_size=30, threads=(1, 2))
     assert report.ok
@@ -54,9 +67,13 @@ def test_run_verify_empty_problem_set_reports_zero_checks():
 
 
 class _InvertedShortestPaths(ShortestPaths):
-    """Negative control: a predicate that never fires under-solves."""
+    """Negative control: a check that never fires, on every path, under-solves."""
 
     def is_forbidden(self, state, v):
+        return False
+
+    def ensure(self, state, v, worklist):
+        state.stats.predicate_evals += 1
         return False
 
 
@@ -68,7 +85,8 @@ def test_run_verify_flags_broken_adapter():
 
     report = run_verify(["sssp"], seeds=1, max_size=20, threads=(1,), adapter_factory=broken_factory)
     assert not report.ok
-    assert "divergent index" in report.failures[0].detail
+    assert {strategy for (_problem, strategy), (_ok, bad) in report.per_cell.items() if bad} == set(STRATEGIES)
+    assert all("divergent index" in failure.detail for failure in report.failures)
 
 
 def test_run_matrix_rows_and_summary(tmp_path):

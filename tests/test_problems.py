@@ -25,7 +25,7 @@ from llp.problems import (
     adapter_for,
     unpack_reachability,
 )
-from llp.solvers import SolverConfig, solve, solve_sequential
+from llp.solvers import SolverConfig, solve
 from llp.worklists import SeqBag
 
 SUITE_SEEDS = 100
@@ -37,7 +37,7 @@ def _suite(problem, spec_of):
     for seed in range(SUITE_SEEDS):
         spec = spec_of(rng)
         inst = generate(spec, seed)
-        got = solve_sequential(adapter_for(problem, inst), "bag")
+        got = solve(adapter_for(problem, inst), strategy="bag")
         yield inst, got
 
 
@@ -92,7 +92,7 @@ def test_bfs_oracle_suite():
 
 
 def test_bfs_chain_levels():
-    got = solve_sequential(adapter_for("bfs", generate("chain:3", 0)), "bag")
+    got = solve(adapter_for("bfs", generate("chain:3", 0)), strategy="bag")
     assert got.tolist() == [0, 1, 2]
 
 
@@ -107,7 +107,7 @@ def test_bfs_shorter_hop_survives_any_interleaving():
 
 def test_bfs_isolated_vertex_stays_unreached():
     g = CsrGraph.from_edges(3, [(0, 1, 1), (1, 0, 1)])
-    got = solve_sequential(BreadthFirstLevels(g, source=0), "bag")
+    got = solve(BreadthFirstLevels(g, source=0), strategy="bag")
     assert got.tolist() == [0, 1, INF]
 
 
@@ -121,14 +121,14 @@ def test_sm_oracle_suite_with_blocking_pair_scan():
 
 
 def test_sm_single_pair_marries_first_choice():
-    got = solve_sequential(StableMatching([[0]], [[0]]), "bag")
+    got = solve(StableMatching([[0]], [[0]]), strategy="bag")
     assert got.tolist() == [0]
 
 
 def test_sm_two_by_two_hand_instance():
     # Both men court w0; she prefers m1, so m0 settles for w1: indices [1, 0].
     adapter = StableMatching([[0, 1], [0, 1]], [[1, 0], [0, 1]])
-    got = solve_sequential(adapter, "bag")
+    got = solve(adapter, strategy="bag")
     assert got.tolist() == [1, 0]
     assert adapter.partners(got) == [1, 0]
 
@@ -157,7 +157,7 @@ def test_job_oracle_suite():
 def test_job_completion_times_are_tight():
     # G[j] equals (not merely bounds) max over parents plus own duration.
     inst = generate("dag:n=120,p=0.2", 9)
-    got = solve_sequential(adapter_for("job", inst), "bag")
+    got = solve(adapter_for("job", inst), strategy="bag")
     preds = [[] for _ in range(inst.graph.num_vertices)]
     for u, v, _w in inst.graph.arcs():
         preds[v].append(u)
@@ -168,23 +168,23 @@ def test_job_completion_times_are_tight():
 
 def test_job_single_and_chain_and_diamond():
     single = JobScheduling(CsrGraph.from_edges(1, []), [7])
-    assert solve_sequential(single, "bag").tolist() == [7]
+    assert solve(single, strategy="bag").tolist() == [7]
 
     chain = JobScheduling(CsrGraph.from_edges(2, [(0, 1, 1)]), [2, 3])
-    assert solve_sequential(chain, "bag").tolist() == [2, 5]
+    assert solve(chain, strategy="bag").tolist() == [2, 5]
 
     # a(2) -> {b(3), c(4)} -> d(1): critical path a-c-d gives 7.
     diamond = JobScheduling(
         CsrGraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]), [2, 3, 4, 1]
     )
-    got = solve_sequential(diamond, "bag")
+    got = solve(diamond, strategy="bag")
     assert got.tolist() == [2, 5, 6, 7]
 
 
 def test_job_cyclic_input_reports_malformed_instance():
     cyclic = JobScheduling(CsrGraph.from_edges(2, [(0, 1, 1), (1, 0, 1)]), [1, 1])
     with pytest.raises(MalformedInstanceError):
-        solve_sequential(cyclic, "bag")
+        solve(cyclic, strategy="bag")
 
 
 # --- reduction --------------------------------------------------------------
@@ -198,12 +198,12 @@ def test_reduce_oracle_suite():
 
 
 def test_reduce_two_leaves():
-    assert solve_sequential(TreeReduction([1, 2]), "bag").tolist() == [3]
+    assert solve(TreeReduction([1, 2]), strategy="bag").tolist() == [3]
 
 
 def test_reduce_closed_form_first_sixty_four():
     for n in range(1, 65):
-        got = solve_sequential(TreeReduction(list(range(1, n + 1))), "bag")
+        got = solve(TreeReduction(list(range(1, n + 1))), strategy="bag")
         assert got.tolist() == [n * (n + 1) // 2]
 
 
@@ -228,7 +228,7 @@ def test_closure_oracle_suite():
 def test_closure_two_edge_path():
     g = CsrGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
     adapter = TransitiveClosure(g)
-    got = solve_sequential(adapter, "bag")
+    got = solve(adapter, strategy="bag")
     reach = adapter.reachability_matrix(got)
     assert {(u, v) for u in range(3) for v in range(3) if reach[u, v]} == {(0, 1), (1, 2), (0, 2)}
 
@@ -243,18 +243,18 @@ def test_closure_sink_vertex_never_forbidden():
 def test_closure_two_cycle_reaches_self():
     g = CsrGraph.from_edges(2, [(0, 1, 1), (1, 0, 1)])
     adapter = TransitiveClosure(g)
-    reach = adapter.reachability_matrix(solve_sequential(adapter, "bag"))
+    reach = adapter.reachability_matrix(solve(adapter, strategy="bag"))
     assert reach.all()  # (a,a), (a,b), (b,a), (b,b): nonempty-path semantics
 
 
 def test_closure_is_idempotent():
     inst = generate("closuredag:n=30,p=0.2", 77)
     first = TransitiveClosure(inst.graph)
-    words = solve_sequential(first, "bag")
+    words = solve(first, strategy="bag")
     reach = unpack_reachability(words, inst.graph.num_vertices)
     edges = [(u, v, 1) for u in range(len(reach)) for v in range(len(reach)) if reach[u][v]]
     again = TransitiveClosure(CsrGraph.from_edges(len(reach), edges))
-    assert np.array_equal(solve_sequential(again, "bag"), words)
+    assert np.array_equal(solve(again, strategy="bag"), words)
 
 
 # --- knapsack ---------------------------------------------------------------
@@ -285,22 +285,22 @@ def test_knapsack_exhaustive_subset_suite():
         cap = rng.uniform(1, 60)
         inst = generate(f"knap:n={n},cap={cap},wmax={max(1, cap // 2)},vmax=40", seed)
         adapter = adapter_for("knapsack", inst)
-        got = adapter.optimum(solve_sequential(adapter, "bag"))
+        got = adapter.optimum(solve(adapter, strategy="bag"))
         assert got == _best_subset_value(inst.weights, inst.values, inst.capacity)
 
 
 def test_knapsack_single_item_cells():
     adapter = Knapsack([2], [3], capacity=2)
-    got = solve_sequential(adapter, "bag")
+    got = solve(adapter, strategy="bag")
     assert got.tolist() == [0, 0, 3]  # c=1 < w keeps 0; c=2 fits the item
 
     small = Knapsack([2], [3], capacity=1)
-    assert solve_sequential(small, "bag").tolist() == [0, 0]
+    assert solve(small, strategy="bag").tolist() == [0, 0]
 
 
 def test_knapsack_two_items_optimum_seven():
     adapter = Knapsack([2, 3], [3, 4], capacity=5)
-    got = solve_sequential(adapter, "bag")
+    got = solve(adapter, strategy="bag")
     assert adapter.optimum(got) == 7
     assert got.tolist() == [0, 0, 3, 4, 4, 7]
 
@@ -310,7 +310,7 @@ def test_knapsack_tile_width_does_not_change_fixed_point():
     outs = set()
     for width in (1, 16, 256):
         adapter = Knapsack(inst.weights, inst.values, inst.capacity, tile_width=width)
-        outs.add(solve_sequential(adapter, "bag").tobytes())
+        outs.add(solve(adapter, strategy="bag").tobytes())
     assert len(outs) == 1
 
 

@@ -1,12 +1,14 @@
 """Solver strategies: fixed-point agreement, termination, error paths."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from llp.baselines import gale_shapley_seq, topo_sort_seq
 from llp.core import INF, GlobalState, InfeasibleError, Problem
 from llp.instances import example_graph, generate
-from llp.problems import adapter_for
+from llp.problems import ShortestPaths, adapter_for
 from llp.solvers import (
     PARALLEL_STRATEGIES,
     SEQUENTIAL_STRATEGIES,
@@ -15,8 +17,6 @@ from llp.solvers import (
     run_solver,
     scan_for_forbidden,
     solve,
-    solve_parallel,
-    solve_sequential,
 )
 from llp.worklists import RandomOrderBag
 
@@ -26,20 +26,20 @@ EXPECTED_EXAMPLE = np.array([0, 2, 5, 3], dtype=np.uint64)
 @pytest.mark.parametrize("strategy", SEQUENTIAL_STRATEGIES)
 def test_sequential_solves_example_graph(strategy):
     adapter = adapter_for("sssp", example_graph())
-    assert np.array_equal(solve_sequential(adapter, strategy), EXPECTED_EXAMPLE)
+    assert np.array_equal(solve(adapter, strategy=strategy), EXPECTED_EXAMPLE)
 
 
 @pytest.mark.parametrize("strategy", SEQUENTIAL_STRATEGIES)
 def test_sequential_chain_distances_are_path_lengths(strategy):
     adapter = adapter_for("sssp", generate("chain:5", 0))
-    got = solve_sequential(adapter, strategy)
+    got = solve(adapter, strategy=strategy)
     assert np.array_equal(got, np.array([0, 1, 2, 3, 4], dtype=np.uint64))
 
 
 def test_sequential_reduction_sums_leaves():
     from llp.problems import TreeReduction
 
-    got = solve_sequential(TreeReduction([1, 2, 3, 4]), "bag")
+    got = solve(TreeReduction([1, 2, 3, 4]), strategy="bag")
     assert got.tolist() == [10]
 
 
@@ -47,14 +47,14 @@ def test_sequential_reduction_sums_leaves():
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_parallel_solves_example_graph(strategy, threads):
     adapter = adapter_for("sssp", example_graph())
-    got = solve_parallel(adapter, strategy, threads)
+    got = solve(adapter, strategy=strategy, threads=threads)
     assert np.array_equal(got, EXPECTED_EXAMPLE)
 
 
 def test_parallel_stable_matching_matches_gale_shapley():
     inst = generate("sm:n=1000", 7)
     adapter = adapter_for("sm", inst)
-    got = solve_parallel(adapter, "ptcf", 8)
+    got = solve(adapter, strategy="ptcf", threads=8)
     want = gale_shapley_seq(inst.mprefs, inst.wprefs)
     assert np.array_equal(got, want)
 
@@ -73,7 +73,7 @@ def test_two_item_knapsack_on_buckets():
     from llp.problems import Knapsack
 
     adapter = Knapsack([2, 3], [3, 4], capacity=5)
-    got = solve_parallel(adapter, "buckets", 2)
+    got = solve(adapter, strategy="buckets", threads=2)
     assert adapter.optimum(got) == 7  # exhaustive subsets: {}, {1}, {2}, {1,2}
 
 
@@ -131,6 +131,36 @@ def test_state_selection_chain_work_gap():
     assert bag.stats.predicate_evals <= 10 * 256
 
 
+@pytest.mark.parametrize("strategy", ["cyclic", "allpar"])
+def test_scan_stops_after_first_pass_that_finds_nothing(strategy):
+    # The source is the chain's last vertex, which has no out-arc, so the
+    # initial state is already the fixed point: one pass checks each
+    # vertex once and proves it.
+    inst = generate("chain:50", 0)
+    adapter = ShortestPaths(inst.graph, source=49)
+    result = run_solver(adapter, SolverConfig(strategy=strategy, threads=1))
+    assert result.stats.predicate_evals == adapter.size
+    assert result.stats.advances == 0
+
+
+class _ThreadRecordingPaths(ShortestPaths):
+    """Records the thread of every ``ensure`` call in ``callers``."""
+
+    def ensure(self, state, v, worklist):
+        self.callers.add(threading.get_ident())
+        return super().ensure(state, v, worklist)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_one_thread_runs_on_the_calling_thread(strategy):
+    inst = generate("randgraph:n=60,m=150,wmax=9", 3)
+    adapter = _ThreadRecordingPaths(inst.graph, inst.source)
+    adapter.callers = set()
+    got = solve(adapter, strategy=strategy, threads=1)
+    assert np.array_equal(got, solve(adapter_for("sssp", inst), strategy="bag"))
+    assert adapter.callers == {threading.get_ident()}
+
+
 WORK_GUARD_SPEC = "randgraph:n=1500,m=6000,wmax=100"
 
 
@@ -144,6 +174,7 @@ WORK_GUARD_SPEC = "randgraph:n=1500,m=6000,wmax=100"
     ("bfs", "buckets", "predicate_evals", 5),
     ("bfs", "bag", "predicate_evals", 5),
     ("bfs", "ptwb", "predicate_evals", 5),
+    ("bfs", "allpar", "predicate_evals", 5),
 ])
 def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
     # Deterministic at one thread.  Pushing every out-neighbour instead of
@@ -152,7 +183,9 @@ def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
     # vertex on ptwb, 1.27 advances on buckets and 8 evaluations on BFS.
     # A bag that ignores priorities costs 5.5 SSSP advances and 8.6 BFS
     # evaluations per vertex; ptwb with LIFO owner deques 2.8 SSSP
-    # advances and 9.5 BFS evaluations.
+    # advances and 9.5 BFS evaluations.  An allpar scan that checks each
+    # forbidden vertex twice and ends on a second quiet pass costs 6 BFS
+    # evaluations per vertex.
     inst = generate(WORK_GUARD_SPEC, 1)
     result = run_solver(adapter_for(problem, inst), SolverConfig(strategy=strategy, threads=1))
     count = getattr(result.stats, counter)
@@ -224,9 +257,15 @@ class _ExplodingProblem(Problem):
         raise RuntimeError("boom")
 
 
-@pytest.mark.parametrize("strategy", ["bag", "swb", "ptwb", "allpar"])
-def test_worker_errors_propagate_first_error_wins(strategy):
-    threads = 1 if strategy in SEQUENTIAL_STRATEGIES else 3
+# Every threaded strategy at three threads and at one, each sequential
+# one at one.
+EVERY_STRATEGY_AND_THREADS = [
+    pytest.param(s, 1 if s in SEQUENTIAL_STRATEGIES else 3, id=s) for s in STRATEGIES
+] + [pytest.param(s, 1, id=f"{s}-1") for s in PARALLEL_STRATEGIES]
+
+
+@pytest.mark.parametrize("strategy,threads", EVERY_STRATEGY_AND_THREADS)
+def test_worker_errors_propagate_first_error_wins(strategy, threads):
     with pytest.raises(RuntimeError, match="boom"):
         solve(_ExplodingProblem(), SolverConfig(strategy=strategy, threads=threads))
 
@@ -256,9 +295,8 @@ class _BoundedProblem(Problem):
         return True
 
 
-@pytest.mark.parametrize("strategy", ["cyclic", "bag", "swb"])
-def test_infeasible_advance_surfaces_from_any_strategy(strategy):
-    threads = 1 if strategy in SEQUENTIAL_STRATEGIES else 2
+@pytest.mark.parametrize("strategy,threads", EVERY_STRATEGY_AND_THREADS)
+def test_infeasible_advance_surfaces_from_any_strategy(strategy, threads):
     with pytest.raises(InfeasibleError):
         solve(_BoundedProblem(), SolverConfig(strategy=strategy, threads=threads))
 

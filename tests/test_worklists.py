@@ -214,7 +214,7 @@ def _recording(errors):
 
 
 @pytest.mark.parametrize("factory", [
-    lambda: SharedBag(8),
+    lambda: SharedBag(),
     lambda: PerThreadBag(8),
     lambda: ChunkedFifo(8, chunk_size=4),
     lambda: BucketQueue(8, num_buckets=16, delta=2),
@@ -263,7 +263,7 @@ def test_no_worker_exits_while_items_remain(factory):
 
 
 @pytest.mark.parametrize("factory", [
-    lambda: SharedBag(8),
+    lambda: SharedBag(),
     lambda: PerThreadBag(8),
     lambda: ChunkedFifo(8, chunk_size=4),
     lambda: BucketQueue(8, num_buckets=16, delta=2),
