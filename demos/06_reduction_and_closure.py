@@ -2,7 +2,7 @@
 
 Reduction publishes partial sums up a combine tree; a node fires once
 both children have published.  Closure grows packed reachability rows
-under bitwise OR until every reachable row is absorbed.
+under bitwise OR until each row holds the rows of its direct successors.
 """
 
 from llp import SolverConfig, generate, solve

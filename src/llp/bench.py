@@ -13,6 +13,7 @@ one (problem, instance, seed) must share a checksum.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import statistics
 import time
@@ -28,7 +29,7 @@ from .problems import PROBLEMS, adapter_for
 from .solvers import (
     SEQUENTIAL_STRATEGIES,
     STRATEGIES,
-    WORKLIST_OF,
+    WORKLISTS,
     SolverConfig,
     run_solver,
 )
@@ -168,6 +169,10 @@ def run_verify(
     ``adapter_factory`` is injectable so harness tests can substitute a
     deliberately broken adapter.
     """
+    if max_size < 2:
+        raise ValueError(f"max_size must be >= 2, got {max_size}")
+    if tile_width < 1:
+        raise ValueError(f"tile_width must be >= 1, got {tile_width}")
     report = VerifyReport()
     threads = cap_threads(threads)
     for problem in problems:
@@ -232,20 +237,7 @@ class BenchRow:
     advances: int
 
     def as_tuple(self):
-        return (
-            self.problem,
-            self.instance_spec,
-            self.seed,
-            self.solver,
-            self.worklist,
-            self.threads,
-            self.delta,
-            self.rep,
-            self.runtime_ns,
-            self.checksum,
-            self.predicate_evals,
-            self.advances,
-        )
+        return dataclasses.astuple(self)
 
 
 @dataclass
@@ -333,7 +325,7 @@ def run_matrix(
                 elapsed = time.perf_counter_ns() - t0
                 record(
                     strategy,
-                    WORKLIST_OF[strategy],
+                    WORKLISTS[strategy][0],
                     t,
                     rep,
                     elapsed,

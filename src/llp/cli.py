@@ -71,14 +71,18 @@ def _cmd_verify(args) -> int:
             if p not in PROBLEMS:
                 print(f"unknown problem {p!r}; choose from {', '.join(PROBLEMS)}", file=sys.stderr)
                 return 2
-    report = bench.run_verify(
-        problems,
-        seeds=args.seeds,
-        max_size=args.max_size,
-        threads=args.threads,
-        tile_width=args.tile_width,
-        echo=lambda msg: print(msg, file=sys.stderr),
-    )
+    try:
+        report = bench.run_verify(
+            problems,
+            seeds=args.seeds,
+            max_size=args.max_size,
+            threads=args.threads,
+            tile_width=args.tile_width,
+            echo=lambda msg: print(msg, file=sys.stderr),
+        )
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     print(bench.format_verify_matrix(report, problems))
     return 0 if report.ok else 1
 

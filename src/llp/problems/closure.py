@@ -11,13 +11,19 @@ from ..instances import CsrGraph
 class TransitiveClosure(Problem):
     """Row u collects a bit for every vertex reachable from u.
 
-    Rows are packed into 64-bit words; the work index is the row.  Row u
-    is forbidden while it reaches some w whose row contains bits row u
-    lacks (the pairwise forbidden predicate lifted over the row).
-    Advancing ORs reachable rows into row u until the row is locally
-    stable, then re-enqueues every row that currently reaches u, since
-    their closures may now be missing the new bits.  Bits only ever
-    appear, never vanish, so word values are monotone non-decreasing.
+    Rows are packed into 64-bit words; the work index is the row, and
+    row u starts as the set of u's direct successors.  Row u is
+    forbidden while some direct successor w has a row with bits row u
+    lacks.  Advancing ORs each direct successor's missing words into
+    row u once and, if row u changed, pushes u's direct predecessors:
+    the semi-naive rule of Datalog evaluation, one hop at a time.
+
+    This reaches the closure and nothing more.  Rows only gain bits, so
+    word values are monotone non-decreasing.  Every change to row w
+    pushes each predecessor u, so u's last check comes after w's last
+    change; at quiescence every arc u->w therefore has row(u) ⊇ row(w),
+    and initially row(u) ⊇ succ(u).  So every row is closed along paths
+    of length >= 1, and no bit is ever set beyond reachability.
 
     Paths have length >= 1: a vertex reaches itself only through a cycle.
     """
@@ -28,79 +34,51 @@ class TransitiveClosure(Problem):
         n = graph.num_vertices
         self.size = n
         self.words_per_row = max(1, (n + 63) // 64)
-        self._init_rows = [0] * n
-        for u, v, _w in graph.arcs():
-            self._init_rows[u] |= 1 << v
+        self._succ = [[] for _ in range(n)]
+        self._pred = [[] for _ in range(n)]
+        for u, v in sorted({(u, v) for u, v, _w in graph.arcs()}):
+            self._succ[u].append(v)
+            self._pred[v].append(u)
 
     def init_state(self, recorder=None) -> GlobalState:
         wpr = self.words_per_row
-        mask = (1 << 64) - 1
-        words = []
-        for row in self._init_rows:
-            for b in range(wpr):
-                words.append((row >> (64 * b)) & mask)
+        words = [0] * (self.size * wpr)
+        for u, succ in enumerate(self._succ):
+            for v in succ:
+                words[u * wpr + (v >> 6)] |= 1 << (v & 63)
         return GlobalState(words, work_size=self.size, recorder=recorder)
 
     def push_initial(self, state: GlobalState, worklist) -> None:
-        worklist.push_all((u, 0) for u in range(self.size) if self._init_rows[u])
-
-    def _row_words(self, state: GlobalState, u: int) -> list:
-        cells = state.values.cells()
-        base = u * self.words_per_row
-        return cells[base : base + self.words_per_row]
-
-    def _iter_bits(self, words) -> list:
-        out = []
-        for b, word in enumerate(words):
-            base = b << 6
-            while word:
-                low = word & -word
-                out.append(base + low.bit_length() - 1)
-                word ^= low
-        return out
+        worklist.push_all((u, 0) for u in range(self.size) if self._succ[u])
 
     def is_forbidden(self, state: GlobalState, u: int) -> bool:
         cells = state.values.cells()
         wpr = self.words_per_row
-        row = self._row_words(state, u)
-        for w in self._iter_bits(row):
+        ubase = u * wpr
+        for w in self._succ[u]:
             wbase = w * wpr
             for b in range(wpr):
-                if cells[wbase + b] & ~row[b]:
+                if cells[wbase + b] & ~cells[ubase + b]:
                     return True
         return False
 
     def advance(self, state: GlobalState, u: int, worklist) -> bool:
         values = state.values
-        wpr = self.words_per_row
-        ubase = u * self.words_per_row
         cells = values.cells()
+        wpr = self.words_per_row
+        ubase = u * wpr
         changed = False
-        while True:
-            row = self._row_words(state, u)
-            progress = False
-            for w in self._iter_bits(row):
-                wbase = w * wpr
-                for b in range(wpr):
-                    missing = cells[wbase + b] & ~cells[ubase + b]
-                    if missing:
-                        values.fetch_or(ubase + b, missing)
-                        progress = True
-            if not progress:
-                break
-            changed = True
-        if not changed:
-            return False
-        # Rows reaching u may now be missing u's new bits.
-        word_index = u >> 6
-        bit = 1 << (u & 63)
-        preds = [
-            (x, 0)
-            for x in range(self.size)
-            if x != u and cells[x * wpr + word_index] & bit
-        ]
-        worklist.push_all(preds)
-        return True
+        for w in self._succ[u]:
+            wbase = w * wpr
+            for b in range(wpr):
+                missing = cells[wbase + b] & ~cells[ubase + b]
+                if missing:
+                    values.fetch_or(ubase + b, missing)
+                    changed = True
+        if changed:
+            # Rows with an arc into u may now lack u's new bits.
+            worklist.push_all((x, 0) for x in self._pred[u])
+        return changed
 
     def final_solution(self, state: GlobalState) -> np.ndarray:
         return np.array(state.values.snapshot(), dtype=np.uint64)

@@ -39,20 +39,20 @@ from .worklists import (
     Worklist,
 )
 
-STRATEGIES = ("cyclic", "bag", "allpar", "swb", "ptwb", "ptcf", "buckets")
+#: Each strategy's worklist: its name in reports and its factory over a
+#: ``SolverConfig``.  ``cyclic`` and ``allpar`` scan and never pop.
+WORKLISTS = {
+    "cyclic": ("null", None),
+    "bag": ("seqbag", lambda c: SeqBag()),
+    "allpar": ("null", None),
+    "swb": ("swb", lambda c: SharedBag()),
+    "ptwb": ("ptwb", lambda c: PerThreadBag(c.threads)),
+    "ptcf": ("ptcf", lambda c: ChunkedFifo(c.threads, chunk_size=c.chunk_size)),
+    "buckets": ("buckets", lambda c: BucketQueue(c.threads, num_buckets=c.num_buckets, delta=c.delta)),
+}
+STRATEGIES = tuple(WORKLISTS)
 SEQUENTIAL_STRATEGIES = ("cyclic", "bag")
 PARALLEL_STRATEGIES = ("allpar", "swb", "ptwb", "ptcf", "buckets")
-
-#: Worklist policy used by each strategy (for reporting).
-WORKLIST_OF = {
-    "cyclic": "null",
-    "bag": "seqbag",
-    "allpar": "null",
-    "swb": "swb",
-    "ptwb": "ptwb",
-    "ptcf": "ptcf",
-    "buckets": "buckets",
-}
 
 
 @dataclass
@@ -97,21 +97,6 @@ def _finish(problem: Problem, state: GlobalState) -> SolveResult:
     if bad is not None:
         raise IncompleteSolveError(bad)
     return SolveResult(problem.final_solution(state), state)
-
-
-def _make_worklist(config: SolverConfig) -> Worklist:
-    s = config.strategy
-    if s == "bag":
-        return SeqBag()
-    if s == "swb":
-        return SharedBag()
-    if s == "ptwb":
-        return PerThreadBag(config.threads)
-    if s == "ptcf":
-        return ChunkedFifo(config.threads, chunk_size=config.chunk_size)
-    if s == "buckets":
-        return BucketQueue(config.threads, num_buckets=config.num_buckets, delta=config.delta)
-    raise ValueError(s)
 
 
 def _run_workers(threads: int, work, abort) -> None:
@@ -241,7 +226,7 @@ def run_solver(
         _run_scan(problem, state, [range(i * step, min(n, (i + 1) * step)) for i in range(threads)])
     else:
         if worklist is None:
-            worklist = _make_worklist(config)
+            worklist = WORKLISTS[strategy][1](config)
         _run_pool(problem, state, worklist, config.threads)
     return _finish(problem, state)
 

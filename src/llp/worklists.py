@@ -5,15 +5,20 @@ scheduling hint; correctness never depends on it, because staleness is
 filtered at pop time by re-checking forbiddenness.  Duplicates are
 therefore permitted everywhere.
 
-Multi-consumer policies carry a :class:`QuiescenceToken` so workers can
-distinguish "momentarily empty" from "globally done": a worker may only
-exit after observing zero outstanding items, that is, every pushed item
-has been popped and its ``task_done`` called.  Pushes and pops on
-:class:`collections.deque` are GIL-atomic, so the deque-based queues
-never block; pushes and ``task_done`` take the token's short lock (and
-an unbound push into a chunk pool one more), and their pops take no
-lock.  :class:`PerThreadBag` keeps priority bins, which are not atomic,
-so its pushes and pops also hold the lock of the bin set they touch.
+The multi-consumer policies share one base, :class:`CountedWorklist`.
+It carries a :class:`QuiescenceToken` so workers can distinguish
+"momentarily empty" from "globally done": a worker may only exit after
+observing zero outstanding items, that is, every pushed item has been
+popped and its ``task_done`` called.  The base also maps each bound
+thread to its worker slot, and reduces a single push to a batch of one,
+so each policy writes only how it stores a batch and how it pops.
+
+Pushes and pops on :class:`collections.deque` are GIL-atomic, so the
+deque-based queues never block; pushes and ``task_done`` take the
+token's short lock (and an unbound push into a chunk pool one more), and
+their pops take no lock.  :class:`PerThreadBag` keeps priority bins,
+which are not atomic, so its pushes and pops also hold the lock of the
+bin set they touch.
 """
 
 from __future__ import annotations
@@ -156,30 +161,40 @@ class RandomOrderBag(Worklist):
         return items.pop()
 
 
-class SharedBag(Worklist):
-    """One global FIFO injector shared by every worker (SWB)."""
+class CountedWorklist(Worklist):
+    """Base of the multi-consumer policies: counted pushes and worker slots.
+
+    ``push_all`` counts a batch on the :class:`QuiescenceToken` before
+    handing it to the policy's ``_put``, and ``push`` is a batch of one.
+    ``bind`` maps the calling thread to its worker slot, which ``_slot``
+    reads back.
+    """
 
     multi_consumer = True
 
     def __init__(self):
-        self._queue = deque()
         self.token = QuiescenceToken()
+        self._slots = {}
+
+    def bind(self, slot: int) -> None:
+        self._slots[threading.get_ident()] = slot
+
+    def _slot(self, default: Optional[int] = None) -> Optional[int]:
+        """The caller's worker slot, or ``default`` if it is unbound."""
+        return self._slots.get(threading.get_ident(), default)
 
     def push(self, item: WorkItem) -> None:
-        self.token.note_push()
-        self._queue.append(item)
+        self.push_all((item,))
 
     def push_all(self, items: Iterable[WorkItem]) -> None:
         batch = list(items)
         if batch:
             self.token.note_push(len(batch))
-            self._queue.extend(batch)
+            self._put(batch)
 
-    def pop(self) -> Optional[WorkItem]:
-        try:
-            return self._queue.popleft()
-        except IndexError:
-            return None
+    def _put(self, batch: list) -> None:
+        """Store a non-empty batch that the token has already counted."""
+        raise NotImplementedError
 
     def task_done(self) -> None:
         self.token.note_done()
@@ -188,7 +203,24 @@ class SharedBag(Worklist):
         return self.token.quiesce()
 
 
-class PerThreadBag(Worklist):
+class SharedBag(CountedWorklist):
+    """One global FIFO injector shared by every worker (SWB)."""
+
+    def __init__(self):
+        super().__init__()
+        self._queue = deque()
+
+    def _put(self, batch: list) -> None:
+        self._queue.extend(batch)
+
+    def pop(self) -> Optional[WorkItem]:
+        try:
+            return self._queue.popleft()
+        except IndexError:
+            return None
+
+
+class PerThreadBag(CountedWorklist):
     """Per-worker priority bins plus a global injector (PTWB).
 
     Each worker slot and the injector hold a :class:`SeqBag`, so every
@@ -212,21 +244,15 @@ class PerThreadBag(Worklist):
     the lock.
     """
 
-    multi_consumer = True
-
     def __init__(self, workers: int = 1):
+        super().__init__()
         # Slots 0..workers-1 belong to the workers; the last is the injector.
         self._bins = [SeqBag() for _ in range(workers + 1)]
         self._locks = [threading.Lock() for _ in range(workers + 1)]
-        self._slots = {}
-        self.token = QuiescenceToken()
-
-    def bind(self, slot: int) -> None:
-        self._slots[threading.get_ident()] = slot
 
     def _own(self) -> int:
         """The caller's bin set: its worker slot, or the injector if unbound."""
-        return self._slots.get(threading.get_ident(), len(self._bins) - 1)
+        return self._slot(len(self._bins) - 1)
 
     def _take(self, i: int) -> Optional[WorkItem]:
         bag = self._bins[i]
@@ -235,17 +261,7 @@ class PerThreadBag(Worklist):
         with self._locks[i]:
             return bag.pop()
 
-    def push(self, item: WorkItem) -> None:
-        self.token.note_push()
-        i = self._own()
-        with self._locks[i]:
-            self._bins[i].push(item)
-
-    def push_all(self, items: Iterable[WorkItem]) -> None:
-        batch = list(items)
-        if not batch:
-            return
-        self.token.note_push(len(batch))
+    def _put(self, batch: list) -> None:
         i = self._own()
         with self._locks[i]:
             self._bins[i].push_all(batch)
@@ -266,12 +282,6 @@ class PerThreadBag(Worklist):
                     return item
         return None
 
-    def task_done(self) -> None:
-        self.token.note_done()
-
-    def quiescent(self) -> bool:
-        return self.token.quiesce()
-
 
 _EMPTY = float("inf")
 
@@ -285,7 +295,7 @@ def _lowest(bag: SeqBag) -> float:
         return _EMPTY
 
 
-class ChunkedFifo(Worklist):
+class ChunkedFifo(CountedWorklist):
     """Per-worker chunk accumulation over a global chunk pool (PTCF).
 
     Pushes fill the caller's open chunk; a chunk is sealed into the
@@ -295,63 +305,33 @@ class ChunkedFifo(Worklist):
     item is ever stranded behind an unsealed boundary.
     """
 
-    multi_consumer = True
-
     def __init__(self, workers: int = 1, chunk_size: int = 64):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        super().__init__()
         self.chunk_size = chunk_size
         self._pool = deque()
         self._open = [[] for _ in range(workers)]
         self._active = [deque() for _ in range(workers)]
-        self._slots = {}
         self._ext_lock = threading.Lock()
         self._ext_open = []
-        self.token = QuiescenceToken()
 
-    def bind(self, slot: int) -> None:
-        self._slots[threading.get_ident()] = slot
-
-    def _slot(self) -> Optional[int]:
-        return self._slots.get(threading.get_ident())
-
-    def push(self, item: WorkItem) -> None:
-        self.token.note_push()
-        slot = self._slot()
-        if slot is None:
-            with self._ext_lock:
-                self._ext_open.append(item)
-                if len(self._ext_open) >= self.chunk_size:
-                    self._pool.append(self._ext_open)
-                    self._ext_open = []
-            return
-        chunk = self._open[slot]
-        chunk.append(item)
-        if len(chunk) >= self.chunk_size:
-            self._pool.append(chunk)
-            self._open[slot] = []
-
-    def push_all(self, items: Iterable[WorkItem]) -> None:
-        batch = list(items)
-        if not batch:
-            return
-        self.token.note_push(len(batch))
-        slot = self._slot()
-        if slot is None:
-            with self._ext_lock:
-                for item in batch:
-                    self._ext_open.append(item)
-                    if len(self._ext_open) >= self.chunk_size:
-                        self._pool.append(self._ext_open)
-                        self._ext_open = []
-            return
-        chunk = self._open[slot]
+    def _fill(self, chunk: list, batch: list) -> list:
+        """Append ``batch`` to ``chunk``, sealing each full chunk; returns the open one."""
         for item in batch:
             chunk.append(item)
             if len(chunk) >= self.chunk_size:
                 self._pool.append(chunk)
                 chunk = []
-        self._open[slot] = chunk
+        return chunk
+
+    def _put(self, batch: list) -> None:
+        slot = self._slot()
+        if slot is None:
+            with self._ext_lock:
+                self._ext_open = self._fill(self._ext_open, batch)
+        else:
+            self._open[slot] = self._fill(self._open[slot], batch)
 
     def seal_pending(self) -> None:
         with self._ext_lock:
@@ -385,14 +365,8 @@ class ChunkedFifo(Worklist):
             return self.pop()
         return None
 
-    def task_done(self) -> None:
-        self.token.note_done()
 
-    def quiescent(self) -> bool:
-        return self.token.quiesce()
-
-
-class BucketQueue(Worklist):
+class BucketQueue(CountedWorklist):
     """Priority buckets popped lowest-index-first (Buckets).
 
     An item with priority p goes to bucket ``(p // delta) % num_buckets``.
@@ -402,32 +376,19 @@ class BucketQueue(Worklist):
     hint.
     """
 
-    multi_consumer = True
-
     def __init__(self, workers: int = 1, num_buckets: int = 1024, delta: int = 1):
         if num_buckets < 1 or delta < 1:
             raise ValueError("num_buckets and delta must be >= 1")
+        super().__init__()
         self.num_buckets = num_buckets
         self.delta = delta
         self._buckets = [deque() for _ in range(num_buckets)]
         self._hint = 0
-        self.token = QuiescenceToken()
 
     def bucket_of(self, priority: int) -> int:
         return (priority // self.delta) % self.num_buckets
 
-    def push(self, item: WorkItem) -> None:
-        self.token.note_push()
-        b = self.bucket_of(item[1])
-        self._buckets[b].append(item)
-        if b < self._hint:
-            self._hint = b  # racy but only ever advisory
-
-    def push_all(self, items: Iterable[WorkItem]) -> None:
-        batch = list(items)
-        if not batch:
-            return
-        self.token.note_push(len(batch))
+    def _put(self, batch: list) -> None:
         buckets = self._buckets
         delta = self.delta
         nb = self.num_buckets
@@ -435,20 +396,14 @@ class BucketQueue(Worklist):
             b = (item[1] // delta) % nb
             buckets[b].append(item)
             if b < self._hint:
-                self._hint = b
+                self._hint = b  # racy but only ever advisory
 
     def pop(self) -> Optional[WorkItem]:
         buckets = self._buckets
         start = self._hint
         n = self.num_buckets
-        for b in range(start, n):
-            try:
-                item = buckets[b].popleft()
-            except IndexError:
-                continue
-            self._hint = b
-            return item
-        for b in range(0, min(start, n)):
+        for k in range(n):
+            b = (start + k) % n
             try:
                 item = buckets[b].popleft()
             except IndexError:
@@ -456,9 +411,3 @@ class BucketQueue(Worklist):
             self._hint = b
             return item
         return None
-
-    def task_done(self) -> None:
-        self.token.note_done()
-
-    def quiescent(self) -> bool:
-        return self.token.quiesce()

@@ -54,6 +54,18 @@ def test_non_integer_threads_cap_is_a_configuration_error(monkeypatch, capsys):
         assert err == "configuration error: LLP_THREADS_CAP must be an integer, got 'two'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--problems", "knapsack", "--tile-width", "0"], "tile_width must be >= 1, got 0"),
+        (["--problems", "sssp", "--max-size", "1"], "max_size must be >= 2, got 1"),
+    ],
+)
+def test_verify_out_of_range_size_is_a_configuration_error(argv, message, capsys):
+    assert main(["verify", "--seeds", "1", *argv]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_run_verify_small_matrix_passes():
     report = run_verify(["sssp", "knapsack"], seeds=2, max_size=30, threads=(1, 2))
     assert report.ok

@@ -25,7 +25,7 @@ from llp.problems import (
     adapter_for,
     unpack_reachability,
 )
-from llp.solvers import SolverConfig, solve
+from llp.solvers import SEQUENTIAL_STRATEGIES, STRATEGIES, SolverConfig, solve
 from llp.worklists import SeqBag
 
 SUITE_SEEDS = 100
@@ -223,6 +223,27 @@ def test_reduce_node_with_one_published_child_is_not_forbidden():
 def test_closure_oracle_suite():
     for inst, got in _suite("closure", lambda r: f"closuredag:n={r.uniform(1, 64)},p=0.2"):
         assert np.array_equal(got, floyd_warshall_par(inst.graph, threads=1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closure_oracle_on_cyclic_graphs(seed):
+    # randgraph is symmetrized, so each of its components of two or more
+    # vertices is a strongly connected component.  Random arcs without
+    # symmetrizing add arcs between SCCs, self-loops and repeated arcs.
+    rng = SplitMix64(0xC7C1E ^ seed)
+    n = rng.uniform(40, 160)
+    sym = generate(f"randgraph:n={n},m={n // 2},wmax=1", seed).graph
+    arcs = CsrGraph.from_edges(n, [(rng.below(n), rng.below(n), 1) for _ in range(n + n // 4)])
+    for graph, min_sccs in ((sym, 2), (arcs, 1)):
+        want = floyd_warshall_par(graph, threads=1)
+        reach = unpack_reachability(want, n)
+        # Rows of vertices on a cycle are equal exactly within an SCC.
+        assert len({tuple(reach[u]) for u in range(n) if reach[u, u]}) >= min_sccs
+        for strategy in STRATEGIES:
+            for threads in [1] if strategy in SEQUENTIAL_STRATEGIES else [1, 3]:
+                config = SolverConfig(strategy=strategy, threads=threads)
+                got = solve(TransitiveClosure(graph), config)
+                assert np.array_equal(got, want), (strategy, threads)
 
 
 def test_closure_two_edge_path():
