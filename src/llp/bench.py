@@ -107,7 +107,8 @@ def verify_spec(problem: str, rng: SplitMix64, max_size: int) -> str:
         n = rng.uniform(1, min(512, 4 * max_size))
         return f"reduce:n={n}"
     if problem == "closure":
-        n = rng.uniform(1, min(48, max_size))
+        # Up to 130 vertices, so rows span up to three 64-bit words.
+        n = rng.uniform(1, min(130, max_size))
         return f"closuredag:n={n},p=0.2"
     if problem == "knapsack":
         n = rng.uniform(1, min(24, max_size))

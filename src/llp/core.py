@@ -121,6 +121,34 @@ class AtomicU64Array:
                 return Update(True, old)
             return Update(False, old)
 
+    def monotone_min_many(self, indices: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Lower each ``indices[k]`` to ``candidates[k]`` iff that is a strict improvement.
+
+        Returns a bool mask over ``indices``: True where the cell changed.
+        The batch holds every stripe lock, taken in one fixed order so two
+        batches cannot deadlock, and single-cell updates never hold two.
+        The recorder sees every change, as it does for ``monotone_min``.
+        """
+        cells = self._cells
+        recorder = self._recorder
+        changed = []
+        for lock in self._locks:
+            lock.acquire()
+        try:
+            for k, (index, candidate) in enumerate(zip(indices.tolist(), candidates.tolist())):
+                old = cells[index]
+                if candidate < old:
+                    cells[index] = candidate
+                    changed.append(k)
+                    if recorder is not None:
+                        recorder(index, old, candidate)
+        finally:
+            for lock in reversed(self._locks):
+                lock.release()
+        mask = np.zeros(len(indices), dtype=bool)
+        mask[changed] = True
+        return mask
+
     def monotone_max(self, index: int, candidate: int) -> Update:
         """Raise the cell to ``candidate`` iff that is a strict improvement."""
         cells = self._cells
@@ -231,22 +259,21 @@ class Stats:
 
     Increments are plain ``+=`` and may undercount under thread
     contention (relaxed consistency); they are exact in single-thread
-    runs, which is where the work-count assertions live.
+    runs, which is where the work-count assertions live.  ``passes``
+    counts the passes of a scanning strategy (``cyclic``, ``allpar``) and
+    stays 0 for the popping ones.
     """
 
-    __slots__ = ("predicate_evals", "advances", "failed_replaces")
+    __slots__ = ("predicate_evals", "advances", "failed_replaces", "passes")
 
     def __init__(self):
         self.predicate_evals = 0
         self.advances = 0
         self.failed_replaces = 0
+        self.passes = 0
 
     def as_dict(self) -> dict:
-        return {
-            "predicate_evals": self.predicate_evals,
-            "advances": self.advances,
-            "failed_replaces": self.failed_replaces,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class GlobalState:
@@ -287,6 +314,17 @@ class Problem:
     pure read of the state; ``advance`` may only move coordinates
     forward in lattice order and may push follow-up work items (tuples
     of ``(index, priority)``; priority is advisory only).
+
+    An adapter may also supply a vector step, ``ensure_batch(state,
+    indices) -> wake``, which ``allpar`` then runs in place of one
+    ``ensure`` per index.  It checks every index of the int64 array
+    ``indices`` against one read of the state, lowers (or raises) the
+    forbidden ones in one bulk write, and counts work as ``ensure`` does:
+    one evaluation per index, one advance or failed replace per
+    forbidden one.  ``wake`` holds the indices whose check its writes may
+    have changed; an index outside it must stay unforbidden unless some
+    other write wakes it.  The post-solve scan still uses the scalar
+    ``is_forbidden``.
     """
 
     #: "min" or "max"; the direction coordinates move.
@@ -297,6 +335,8 @@ class Problem:
     #: Optional per-index advance ceiling; advancing past it raises
     #: InfeasibleError.
     bound: Optional[list] = None
+    #: Optional vector step (see above); None keeps ``allpar`` on ``ensure``.
+    ensure_batch = None
 
     size: int
 

@@ -7,6 +7,16 @@ import numpy as np
 from ..core import GlobalState, INF, Problem, saturating_add
 from ..instances import CsrGraph
 
+_ONE = np.uint64(1)
+
+
+def _row_arcs(offsets: np.ndarray, rows: np.ndarray):
+    """Arc ids of ``rows`` in CSR ``offsets``, row after row, and each row's count."""
+    lo = offsets[rows]
+    counts = offsets[rows + 1] - lo
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(lo - starts, counts), counts
+
 
 class ShortestPaths(Problem):
     """Tentative distances d(v) relax downward until no edge improves them.
@@ -18,6 +28,10 @@ class ShortestPaths(Problem):
     that candidate d(v) + w, as in delta-stepping.  Skipping the others
     is sound because cells only fall: an edge that does not improve x now
     cannot until d(v) falls again, and that fall pushes x again.
+
+    ``ensure_batch`` is the same check and advance for many vertices at
+    once, over numpy gathers of the CSR arcs; it wakes the out-neighbours
+    that the push rule would push.
     """
 
     lattice = "min"
@@ -28,9 +42,10 @@ class ShortestPaths(Problem):
         self.graph = graph
         self.source = source
         self.size = graph.num_vertices
+        self._rev = graph.reversed()
         # Plain-list adjacency: these loops dominate solve time.
         self._out = graph.adjacency_lists()
-        self._in = graph.reversed().adjacency_lists()
+        self._in = self._rev.adjacency_lists()
 
     def init_state(self, recorder=None) -> GlobalState:
         values = [INF] * self.size
@@ -92,6 +107,38 @@ class ShortestPaths(Problem):
             stats.failed_replaces += 1
         return True
 
+    def _arc_weights(self, graph: CsrGraph, arcs: np.ndarray):
+        return graph.weights[arcs]
+
+    def ensure_batch(self, state: GlobalState, indices: np.ndarray) -> np.ndarray:
+        stats = state.stats
+        stats.predicate_evals += len(indices)
+        d = np.fromiter(state.values.cells(), dtype=np.uint64, count=self.size)
+        rev = self._rev
+        v = indices[(indices != self.source) & (rev.offsets[indices + 1] > rev.offsets[indices])]
+        if not len(v):
+            return v
+        arcs, counts = _row_arcs(rev.offsets, v)
+        w = self._arc_weights(rev, arcs)
+        # Saturating, so exact at INF: min(d, INF - w) + w never wraps.
+        cand = np.minimum(d[rev.targets[arcs]], INF - w) + w
+        best = np.minimum.reduceat(cand, np.cumsum(counts) - counts)
+        forbidden = best < d[v]
+        v, best = v[forbidden], best[forbidden]
+        changed = state.values.monotone_min_many(v, best)
+        advanced = int(np.count_nonzero(changed))
+        stats.advances += advanced
+        stats.failed_replaces += len(v) - advanced
+        # Wake the out-neighbours x with d(v) + w < d(x), the push rule.
+        # d is the read above plus this batch's writes; a stale d(x) only
+        # wakes more.
+        v, best = v[changed], best[changed]
+        d[v] = best
+        arcs, counts = _row_arcs(self.graph.offsets, v)
+        w = self._arc_weights(self.graph, arcs)
+        x = self.graph.targets[arcs]
+        return x[np.minimum(np.repeat(best, counts), INF - w) + w < d[x]]
+
     def final_solution(self, state: GlobalState) -> np.ndarray:
         return np.array(state.values.snapshot(), dtype=np.uint64)
 
@@ -100,10 +147,10 @@ class BreadthFirstLevels(ShortestPaths):
     """Hop levels from a source; shortest paths with every weight one.
 
     A vertex is forbidden when an in-neighbour sits more than one level
-    below it.  The check, the advance and ``ensure`` are those of
-    :class:`ShortestPaths` over unweighted adjacency: lowering v to level
-    d pushes only the out-neighbours x with d + 1 < d(x), each keyed by
-    its candidate level d + 1.
+    below it.  The check, the advance, ``ensure`` and ``ensure_batch``
+    are those of :class:`ShortestPaths` with every weight one: lowering v
+    to level d pushes only the out-neighbours x with d + 1 < d(x), each
+    keyed by its candidate level d + 1.
     """
 
     def __init__(self, graph: CsrGraph, source: int = 0):
@@ -112,8 +159,9 @@ class BreadthFirstLevels(ShortestPaths):
         self.graph = graph
         self.source = source
         self.size = graph.num_vertices
+        self._rev = graph.reversed()
         self._out = [[v for v, _w in row] for row in graph.adjacency_lists()]
-        self._in = [[v for v, _w in row] for row in graph.reversed().adjacency_lists()]
+        self._in = [[v for v, _w in row] for row in self._rev.adjacency_lists()]
 
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((v, 0) for v in self._out[self.source])
@@ -123,6 +171,9 @@ class BreadthFirstLevels(ShortestPaths):
         items = [(x, cand) for x in self._out[v] if cand < cells[x]]
         if items:
             worklist.push_all(items)
+
+    def _arc_weights(self, graph: CsrGraph, arcs: np.ndarray):
+        return _ONE
 
     def _best_in(self, cells: list, v: int) -> int:
         best = INF

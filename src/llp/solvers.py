@@ -3,8 +3,10 @@
 Every strategy calls :meth:`~llp.core.Problem.ensure` on the indices it
 selects and converges to the same fixed point; they differ only in how
 indices are selected.  ``cyclic`` and ``allpar`` sweep index ranges in
-passes until one pass finds nothing forbidden; the others pop a
-worklist until it is quiescent.  One harness starts, joins and reports
+passes until a pass advances nothing; the others pop a worklist until
+it is quiescent.  ``allpar`` over an adapter with a vector step
+(``Problem.ensure_batch``) checks only the changed frontier of each
+range per pass, in one batch.  One harness starts, joins and reports
 the errors of every strategy's workers.  After any solve, a full scan
 asserts that no index is forbidden before the solution is extracted.
 
@@ -12,7 +14,8 @@ Strategies
 ----------
 ``cyclic``   single thread, repeated descending passes over all indices
 ``bag``      single thread, seeded bag popping the lowest priority first
-``allpar``   thread pool, repeated parallel passes over static ranges
+``allpar``   thread pool, repeated parallel passes over static ranges,
+             bulk-synchronous batches where the adapter has a vector step
 ``swb``      thread pool over one shared FIFO bag
 ``ptwb``     thread pool over per-thread priority bins with work stealing
 ``ptcf``     thread pool over per-thread chunked FIFOs
@@ -24,6 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -164,38 +168,76 @@ def _run_pool(problem: Problem, state: GlobalState, worklist: Worklist, threads:
     _run_workers(threads, lambda slot: _pool_worker(problem, state, worklist, slot, stop), stop.set)
 
 
-def _run_scan(problem: Problem, state: GlobalState, ranges: list) -> None:
-    """Sweep ``ensure`` over each index range, one worker per range.
+def _run_passes(state: GlobalState, sweeps: list, more=None) -> None:
+    """Run ``sweeps[me]()`` on worker ``me``, pass after pass, behind a barrier.
 
-    Passes repeat behind a barrier until one pass in which no ``ensure``
-    returned True.  Such a pass advanced nothing, so every check in it
-    read the final state and found its index not forbidden: the state is
-    a fixed point.
+    Passes stop after one in which ``state.stats.advances`` did not move,
+    or, given ``more``, after one that leaves ``more()`` false.  A pass
+    that advanced nothing changed no cell (a failed replace means another
+    check of the same pass advanced), so the next pass would repeat it:
+    the state is a fixed point, or a check that never clears is left for
+    the post-solve scan to report instead of hanging.  The counter's
+    ``+=`` may lose increments across threads, yet comparing it is sound:
+    every store in a pass writes a value read in that pass plus 1, which
+    is above the pass's start value.
     """
+    stats = state.stats
+    start = stats.advances
+    go = True
+
+    def decide() -> None:  # the barrier runs this once per pass, before releasing
+        nonlocal start, go
+        stats.passes += 1
+        go = stats.advances != start and (more is None or more())
+        start = stats.advances
+
+    barrier = threading.Barrier(len(sweeps), action=decide)
+
+    def work(me: int) -> None:
+        sweep = sweeps[me]
+        while go:  # rewritten only once every worker waits at the barrier
+            sweep()
+            barrier.wait()
+
+    _run_workers(len(sweeps), work, barrier.abort)
+
+
+def _run_scan(problem: Problem, state: GlobalState, ranges: list) -> None:
+    """Sweep ``ensure`` over each index range, one worker per range."""
     worklist = NullWorklist()
     memoizes = problem.memoizes
     fixed = state.fixed
     ensure = problem.ensure
-    flags = [False] * len(ranges)
-    barrier = threading.Barrier(len(ranges))
 
-    def scan(me: int) -> None:
-        indices = ranges[me]
-        while True:
-            barrier.wait()  # no worker rewrites its flag before all have read them
-            found = False
-            for index in indices:
-                if memoizes and fixed.is_fixed(index):
-                    continue
-                if ensure(state, index, worklist):
-                    found = True
-            flags[me] = found
-            barrier.wait()
-            # Every worker reads the same flags, so all stop on the same pass.
-            if not any(flags):
-                return
+    def sweep(indices: range) -> None:
+        for index in indices:
+            if not (memoizes and fixed.is_fixed(index)):
+                ensure(state, index, worklist)
 
-    _run_workers(len(ranges), scan, barrier.abort)
+    _run_passes(state, [partial(sweep, r) for r in ranges])
+
+
+def _run_batches(problem: Problem, state: GlobalState, ranges: list) -> None:
+    """Run ``ensure_batch`` over each range's changed frontier, one worker per range.
+
+    ``dirty`` marks the indices to check next pass; pass 1 checks all.
+    The frontier is sound: an index left clean was not forbidden at its
+    last check, and none of its inputs has changed since, because every
+    write wakes the indices whose check it may change.  A worker clears
+    its indices' bits *before* its batch reads the state, so a write that
+    races that read sets its targets' bits after the clear, and they are
+    checked next pass.  An empty frontier is therefore a fixed point;
+    the post-solve scan certifies it all the same.
+    """
+    dirty = np.ones(problem.size, dtype=bool)
+    ensure_batch = problem.ensure_batch
+
+    def sweep(indices: range) -> None:
+        todo = np.flatnonzero(dirty[indices.start : indices.stop]) + indices.start
+        dirty[todo] = False
+        dirty[ensure_batch(state, todo)] = True
+
+    _run_passes(state, [partial(sweep, r) for r in ranges], more=dirty.any)
 
 
 def run_solver(
@@ -223,7 +265,11 @@ def run_solver(
         # Static contiguous partition of the index space.
         threads = min(config.threads, n) or 1
         step = (n + threads - 1) // threads
-        _run_scan(problem, state, [range(i * step, min(n, (i + 1) * step)) for i in range(threads)])
+        ranges = [range(i * step, min(n, (i + 1) * step)) for i in range(threads)]
+        if problem.ensure_batch is not None:
+            _run_batches(problem, state, ranges)
+        else:
+            _run_scan(problem, state, ranges)
     else:
         if worklist is None:
             worklist = WORKLISTS[strategy][1](config)

@@ -27,6 +27,7 @@ import heapq
 import random
 import threading
 from collections import deque
+from itertools import chain, compress
 from typing import Iterable, Optional, Tuple
 
 WorkItem = Tuple[int, int]
@@ -401,12 +402,15 @@ class BucketQueue(CountedWorklist):
     def pop(self) -> Optional[WorkItem]:
         buckets = self._buckets
         start = self._hint
-        n = self.num_buckets
-        for k in range(n):
-            b = (start + k) % n
+        # Buckets start..n-1, then 0..start-1.  ``compress`` skips empty
+        # ones by their truth value, in C; raising and catching IndexError
+        # on each made an empty poll about twenty times slower.
+        nonempty = chain(compress(range(start, self.num_buckets), buckets[start:]),
+                         compress(range(start), buckets))
+        for b in nonempty:
             try:
                 item = buckets[b].popleft()
-            except IndexError:
+            except IndexError:  # emptied by a concurrent pop since the test
                 continue
             self._hint = b
             return item

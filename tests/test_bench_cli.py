@@ -17,7 +17,7 @@ from llp.bench import (
     solution_checksum,
 )
 from llp.cli import main
-from llp.problems import adapter_for
+from llp.problems import TransitiveClosure, adapter_for
 from llp.problems.shortest_paths import ShortestPaths
 from llp.solvers import STRATEGIES
 
@@ -88,6 +88,10 @@ class _InvertedShortestPaths(ShortestPaths):
         state.stats.predicate_evals += 1
         return False
 
+    def ensure_batch(self, state, indices):
+        state.stats.predicate_evals += len(indices)
+        return indices[:0]
+
 
 def test_run_verify_flags_broken_adapter():
     def broken_factory(problem, instance, tile_width=256):
@@ -98,6 +102,26 @@ def test_run_verify_flags_broken_adapter():
     report = run_verify(["sssp"], seeds=1, max_size=20, threads=(1,), adapter_factory=broken_factory)
     assert not report.ok
     assert {strategy for (_problem, strategy), (_ok, bad) in report.per_cell.items() if bad} == set(STRATEGIES)
+    assert all("divergent index" in failure.detail for failure in report.failures)
+
+
+class _FirstWordClosure(TransitiveClosure):
+    """Negative control: a check that reads only the first word of each row."""
+
+    def is_forbidden(self, state, u):
+        cells = state.values.cells()
+        wpr = self.words_per_row
+        return any(cells[w * wpr] & ~cells[u * wpr] for w in self._succ[u])
+
+
+def test_run_verify_reaches_multi_word_closure_rows():
+    def broken_factory(problem, instance, tile_width=256):
+        if problem == "closure":
+            return _FirstWordClosure(instance.graph)
+        return adapter_for(problem, instance, tile_width=tile_width)
+
+    report = run_verify(["closure"], seeds=3, threads=(1,), adapter_factory=broken_factory)
+    assert not report.ok
     assert all("divergent index" in failure.detail for failure in report.failures)
 
 

@@ -91,6 +91,30 @@ def test_bfs_oracle_suite():
         assert np.array_equal(got, bfs_seq(inst.graph, inst.source))
 
 
+@pytest.mark.parametrize("adapter_class,oracle", [(ShortestPaths, dijkstra_heap), (BreadthFirstLevels, bfs_seq)])
+@pytest.mark.parametrize("seed", range(4))
+def test_allpar_vector_step_oracle_suite(adapter_class, oracle, seed):
+    # allpar drives ensure_batch on these adapters.  Sparse random arcs
+    # leave vertices unreached; every arc is drawn twice, once with a
+    # heavier weight, so duplicates matter for SSSP; on odd draws the
+    # source's in-arcs are dropped.
+    rng = SplitMix64(0xA11 ^ seed)
+    for draw in range(12):
+        n = rng.uniform(2, 120)
+        source = rng.below(n)
+        arcs = [(rng.below(n), rng.below(n), rng.uniform(1, 9)) for _ in range(rng.uniform(0, 2 * n))]
+        arcs += [(u, v, w + rng.uniform(0, 3)) for u, v, w in arcs]
+        if draw % 2:
+            arcs = [a for a in arcs if a[1] != source]
+        graph = CsrGraph.from_edges(n, arcs)
+        adapter = adapter_class(graph, source)
+        want = oracle(graph, source)
+        assert np.array_equal(solve(adapter, strategy="bag"), want)
+        for threads in (1, 2, 3):
+            got = solve(adapter, strategy="allpar", threads=threads)
+            assert np.array_equal(got, want), (draw, threads)
+
+
 def test_bfs_chain_levels():
     got = solve(adapter_for("bfs", generate("chain:3", 0)), strategy="bag")
     assert got.tolist() == [0, 1, 2]

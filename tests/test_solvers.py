@@ -1,12 +1,13 @@
 """Solver strategies: fixed-point agreement, termination, error paths."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from llp.baselines import gale_shapley_seq, topo_sort_seq
-from llp.core import INF, GlobalState, InfeasibleError, Problem
+from llp.core import INF, GlobalState, IncompleteSolveError, InfeasibleError, Problem
 from llp.instances import example_graph, generate
 from llp.problems import ShortestPaths, adapter_for
 from llp.solvers import (
@@ -143,12 +144,63 @@ def test_scan_stops_after_first_pass_that_finds_nothing(strategy):
     assert result.stats.advances == 0
 
 
+@pytest.mark.parametrize("strategy,passes", [("cyclic", 8), ("allpar", 7), ("bag", 0), ("ptwb", 0)])
+def test_stats_count_scan_passes(strategy, passes):
+    # Descending cyclic passes settle one vertex of chain:8 each and end
+    # on a quiet eighth; allpar's batches advance the frontier one hop a
+    # pass and stop when the last vertex, which has no out-arc, wakes
+    # nothing.  Popping strategies make no passes.
+    result = run_solver(adapter_for("sssp", generate("chain:8", 0)), SolverConfig(strategy=strategy))
+    assert result.stats.passes == passes
+
+
+class _StuckPaths(ShortestPaths):
+    """Reports vertex 1 forbidden on every check but never advances it."""
+
+    def ensure(self, state, v, worklist):
+        if v != 1:
+            return super().ensure(state, v, worklist)
+        state.stats.predicate_evals += 1
+        return True
+
+    def ensure_batch(self, state, indices):
+        stuck = indices == 1
+        wake = super().ensure_batch(state, indices[~stuck])
+        state.stats.predicate_evals += int(stuck.sum())
+        return np.append(wake, 1)  # keeps the frontier from emptying
+
+
+@pytest.mark.parametrize("strategy,threads", [("cyclic", 1), ("allpar", 1), ("allpar", 3)])
+def test_scan_ends_when_a_check_never_clears(strategy, threads):
+    # A pass that advances nothing would repeat forever; the scan stops
+    # after it and the post-solve scan reports the stuck vertex.
+    adapter = _StuckPaths(generate("chain:8", 0).graph, source=0)
+    outcome = []
+
+    def run():
+        try:
+            solve(adapter, SolverConfig(strategy=strategy, threads=threads))
+        except Exception as exc:  # reported by the test, not by the thread
+            outcome.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=20)
+    assert not worker.is_alive(), "the scan never ended"
+    assert len(outcome) == 1 and isinstance(outcome[0], IncompleteSolveError), outcome
+    assert outcome[0].index == 1
+
+
 class _ThreadRecordingPaths(ShortestPaths):
-    """Records the thread of every ``ensure`` call in ``callers``."""
+    """Records the thread of every ``ensure`` and ``ensure_batch`` call in ``callers``."""
 
     def ensure(self, state, v, worklist):
         self.callers.add(threading.get_ident())
         return super().ensure(state, v, worklist)
+
+    def ensure_batch(self, state, indices):
+        self.callers.add(threading.get_ident())
+        return super().ensure_batch(state, indices)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -175,6 +227,9 @@ WORK_GUARD_SPEC = "randgraph:n=1500,m=6000,wmax=100"
     ("bfs", "bag", "predicate_evals", 5),
     ("bfs", "ptwb", "predicate_evals", 5),
     ("bfs", "allpar", "predicate_evals", 5),
+    ("bfs", "allpar", "predicate_evals", 2.5),
+    ("bfs", "allpar", "advances", 1.0),
+    ("sssp", "allpar", "predicate_evals", 5),
 ])
 def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
     # Deterministic at one thread.  Pushing every out-neighbour instead of
@@ -185,7 +240,10 @@ def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
     # evaluations per vertex; ptwb with LIFO owner deques 2.8 SSSP
     # advances and 9.5 BFS evaluations.  An allpar scan that checks each
     # forbidden vertex twice and ends on a second quiet pass costs 6 BFS
-    # evaluations per vertex.
+    # evaluations per vertex.  allpar's vector step checks only the
+    # changed frontier: scanning all vertices per pass instead costs 5.0
+    # BFS evaluations and 1.39 advances, and 9.0 SSSP evaluations, per
+    # vertex.
     inst = generate(WORK_GUARD_SPEC, 1)
     result = run_solver(adapter_for(problem, inst), SolverConfig(strategy=strategy, threads=1))
     count = getattr(result.stats, counter)
@@ -249,6 +307,46 @@ def test_monotone_recording_under_randomized_schedules():
                 worklist=RandomOrderBag(seed=seed),
             )
             assert not regressions
+
+
+@pytest.mark.parametrize("problem", ["sssp", "bfs"])
+def test_vector_step_records_every_cell_change(problem):
+    # The bulk write reports each change to the recorder: none regresses,
+    # and at one thread there is one change per counted advance.
+    adapter = adapter_for(problem, generate("randgraph:n=300,m=900,wmax=9", 5))
+    changes = []
+    result = run_solver(adapter, SolverConfig(strategy="allpar"), recorder=lambda i, old, new: changes.append(new < old))
+    assert all(changes)
+    assert len(changes) == result.stats.advances > 0
+
+
+def test_vector_step_survives_fast_thread_switching():
+    # Six workers' batches read and write the shared cells and the dirty
+    # frontier concurrently.  A wake-up lost to a race would leave a
+    # forbidden vertex behind, which the post-solve scan reports.
+    instances = [generate("randgraph:n=400,m=1600,wmax=50", seed) for seed in range(6)]
+    want = [solve(adapter_for("sssp", inst), strategy="bag") for inst in instances]
+    got, errors = [], []
+
+    def run():
+        try:
+            for inst in instances:
+                got.append(solve(adapter_for("sssp", inst), strategy="allpar", threads=6))
+        except Exception as exc:  # reported by the test, not by the thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert errors == []
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class _ExplodingProblem(Problem):

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,21 @@ def test_buckets_hint_recovers_after_lower_push():
     assert wl.pop()[0] == 1  # hint now sits at bucket 6
     wl.push((2, 0))
     assert wl.pop()[0] == 2
+
+
+class _JustEmptiedDeque(deque):
+    """Tests non-empty, but a concurrent pop empties it before ours."""
+
+    def __bool__(self):
+        return True
+
+
+def test_buckets_pop_skips_a_bucket_emptied_after_its_test():
+    wl = BucketQueue(num_buckets=8, delta=1)
+    wl._buckets[0] = _JustEmptiedDeque()
+    wl.push((4, 1))
+    assert wl.pop() == (4, 1)
+    assert wl.pop() is None
 
 
 def test_per_thread_bag_prefers_local_items():
