@@ -321,10 +321,11 @@ class Problem:
     ``indices`` against one read of the state, lowers (or raises) the
     forbidden ones in one bulk write, and counts work as ``ensure`` does:
     one evaluation per index, one advance or failed replace per
-    forbidden one.  ``wake`` holds the indices whose check its writes may
-    have changed; an index outside it must stay unforbidden unless some
-    other write wakes it.  The post-solve scan still uses the scalar
-    ``is_forbidden``.
+    forbidden one; it adds to ``advances`` only when it advanced
+    something, because the scan's stop rule compares that counter.
+    ``wake`` holds the indices whose check its writes may have changed;
+    an index outside it must stay unforbidden unless some other write
+    wakes it.  The post-solve scan still uses the scalar ``is_forbidden``.
     """
 
     #: "min" or "max"; the direction coordinates move.

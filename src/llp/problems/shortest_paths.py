@@ -113,11 +113,11 @@ class ShortestPaths(Problem):
     def ensure_batch(self, state: GlobalState, indices: np.ndarray) -> np.ndarray:
         stats = state.stats
         stats.predicate_evals += len(indices)
-        d = np.fromiter(state.values.cells(), dtype=np.uint64, count=self.size)
         rev = self._rev
         v = indices[(indices != self.source) & (rev.offsets[indices + 1] > rev.offsets[indices])]
         if not len(v):
             return v
+        d = np.fromiter(state.values.cells(), dtype=np.uint64, count=self.size)
         arcs, counts = _row_arcs(rev.offsets, v)
         w = self._arc_weights(rev, arcs)
         # Saturating, so exact at INF: min(d, INF - w) + w never wraps.
@@ -125,9 +125,14 @@ class ShortestPaths(Problem):
         best = np.minimum.reduceat(cand, np.cumsum(counts) - counts)
         forbidden = best < d[v]
         v, best = v[forbidden], best[forbidden]
+        if not len(v):
+            return v
         changed = state.values.monotone_min_many(v, best)
         advanced = int(np.count_nonzero(changed))
-        stats.advances += advanced
+        # Only a real advance touches the counter, so every store to it
+        # exceeds the value it read: the scan's stop rule rests on that.
+        if advanced:
+            stats.advances += advanced
         stats.failed_replaces += len(v) - advanced
         # Wake the out-neighbours x with d(v) + w < d(x), the push rule.
         # d is the read above plus this batch's writes; a stale d(x) only

@@ -168,18 +168,18 @@ def _run_pool(problem: Problem, state: GlobalState, worklist: Worklist, threads:
     _run_workers(threads, lambda slot: _pool_worker(problem, state, worklist, slot, stop), stop.set)
 
 
-def _run_passes(state: GlobalState, sweeps: list, more=None) -> None:
+def _run_passes(state: GlobalState, sweeps: list) -> None:
     """Run ``sweeps[me]()`` on worker ``me``, pass after pass, behind a barrier.
 
-    Passes stop after one in which ``state.stats.advances`` did not move,
-    or, given ``more``, after one that leaves ``more()`` false.  A pass
-    that advanced nothing changed no cell (a failed replace means another
-    check of the same pass advanced), so the next pass would repeat it:
-    the state is a fixed point, or a check that never clears is left for
-    the post-solve scan to report instead of hanging.  The counter's
-    ``+=`` may lose increments across threads, yet comparing it is sound:
-    every store in a pass writes a value read in that pass plus 1, which
-    is above the pass's start value.
+    Passes stop after one in which ``state.stats.advances`` did not move.
+    A pass that advanced nothing changed no cell (a failed replace means
+    another check of the same pass advanced), so the next pass would
+    repeat it: the state is a fixed point, or a check that never clears
+    is left for the post-solve scan to report instead of hanging.  The
+    counter's ``+=`` may lose increments across threads, yet comparing it
+    is sound as long as no check adds 0: every store in a pass then writes
+    a value read in that pass plus at least 1, which is above the pass's
+    start value.
     """
     stats = state.stats
     start = stats.advances
@@ -188,7 +188,7 @@ def _run_passes(state: GlobalState, sweeps: list, more=None) -> None:
     def decide() -> None:  # the barrier runs this once per pass, before releasing
         nonlocal start, go
         stats.passes += 1
-        go = stats.advances != start and (more is None or more())
+        go = stats.advances != start
         start = stats.advances
 
     barrier = threading.Barrier(len(sweeps), action=decide)
@@ -237,7 +237,7 @@ def _run_batches(problem: Problem, state: GlobalState, ranges: list) -> None:
         dirty[todo] = False
         dirty[ensure_batch(state, todo)] = True
 
-    _run_passes(state, [partial(sweep, r) for r in ranges], more=dirty.any)
+    _run_passes(state, [partial(sweep, r) for r in ranges])
 
 
 def run_solver(

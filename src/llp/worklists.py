@@ -27,7 +27,7 @@ import heapq
 import random
 import threading
 from collections import deque
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from typing import Iterable, Optional, Tuple
 
 WorkItem = Tuple[int, int]
@@ -402,10 +402,15 @@ class BucketQueue(CountedWorklist):
     def pop(self) -> Optional[WorkItem]:
         buckets = self._buckets
         start = self._hint
-        # Buckets start..n-1, then 0..start-1.  ``compress`` skips empty
+        try:
+            return buckets[start].popleft()  # the common case: the hint holds work
+        except IndexError:
+            pass
+        # Buckets start+1..n-1, then 0..start-1.  ``compress`` skips empty
         # ones by their truth value, in C; raising and catching IndexError
         # on each made an empty poll about twenty times slower.
-        nonempty = chain(compress(range(start, self.num_buckets), buckets[start:]),
+        n = self.num_buckets
+        nonempty = chain(compress(range(start + 1, n), islice(buckets, start + 1, n)),
                          compress(range(start), buckets))
         for b in nonempty:
             try:

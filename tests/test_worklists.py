@@ -102,10 +102,20 @@ class _JustEmptiedDeque(deque):
 
 
 def test_buckets_pop_skips_a_bucket_emptied_after_its_test():
+    # Past the hint bucket 0, which the pop tries first without a test.
     wl = BucketQueue(num_buckets=8, delta=1)
-    wl._buckets[0] = _JustEmptiedDeque()
-    wl.push((4, 1))
-    assert wl.pop() == (4, 1)
+    wl._buckets[2] = _JustEmptiedDeque()
+    wl.push((4, 5))
+    assert wl.pop() == (4, 5)
+    assert wl.pop() is None
+
+
+def test_buckets_pop_wraps_past_the_last_bucket():
+    wl = BucketQueue(num_buckets=8, delta=1)
+    wl.push_all([(1, 6), (2, 2)])
+    assert wl.pop() == (2, 2)
+    wl._hint = 7  # as if a pop had found bucket 7 last
+    assert wl.pop() == (1, 6)
     assert wl.pop() is None
 
 
