@@ -19,6 +19,7 @@ order, exactly-once fixed-bit transitions) are preserved.
 from __future__ import annotations
 
 import threading
+from array import array
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -27,6 +28,11 @@ U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 #: Unreachable / unset marker.  Additions saturate so INF + w == INF.
 INF = U64_MASK
+
+
+def _u64(values: Iterable[int]) -> np.ndarray:
+    """A uint64 numpy array of ``values``, packed in one C pass."""
+    return np.frombuffer(array("Q", values), dtype=np.uint64)
 
 
 def saturating_add(a: int, b: int) -> int:
@@ -106,6 +112,10 @@ class AtomicU64Array:
     def snapshot(self) -> list:
         return list(self._cells)
 
+    def to_numpy(self) -> np.ndarray:
+        """A writable uint64 numpy copy of every cell, read in one pass."""
+        return _u64(self._cells)
+
     def _lock_for(self, index: int) -> threading.Lock:
         return self._locks[index & (self._STRIPES - 1)]
 
@@ -125,28 +135,43 @@ class AtomicU64Array:
         """Lower each ``indices[k]`` to ``candidates[k]`` iff that is a strict improvement.
 
         Returns a bool mask over ``indices``: True where the cell changed.
-        The batch holds every stripe lock, taken in one fixed order so two
-        batches cannot deadlock, and single-cell updates never hold two.
-        The recorder sees every change, as it does for ``monotone_min``.
+        A repeated index keeps only its least candidate (the first among
+        equals), so a later, larger one can never raise the cell again;
+        the mask marks that one position.  The batch gathers the old
+        values of its own indices, compares them in numpy and writes only
+        the cells that fall; the recorder sees each of those changes, as
+        it does for ``monotone_min``.  The batch holds every stripe lock,
+        taken in one fixed order so two batches cannot deadlock, and
+        single-cell updates never hold two.
         """
+        mask = np.zeros(len(indices), dtype=bool)
+        positions = None
+        if len(indices) > 1 and not (indices[1:] > indices[:-1]).all():
+            # Not strictly increasing, so an index may repeat: keep each
+            # index's least candidate, in input order.
+            order = np.lexsort((candidates, indices))
+            first = np.ones(len(order), dtype=bool)
+            sorted_indices = indices[order]
+            first[1:] = sorted_indices[1:] != sorted_indices[:-1]
+            positions = np.sort(order[first])
+            indices, candidates = indices[positions], candidates[positions]
         cells = self._cells
         recorder = self._recorder
-        changed = []
+        index_list = indices.tolist()
         for lock in self._locks:
             lock.acquire()
         try:
-            for k, (index, candidate) in enumerate(zip(indices.tolist(), candidates.tolist())):
-                old = cells[index]
-                if candidate < old:
-                    cells[index] = candidate
-                    changed.append(k)
-                    if recorder is not None:
-                        recorder(index, old, candidate)
+            old = _u64([cells[i] for i in index_list])
+            hits = np.flatnonzero(candidates < old)
+            news = candidates[hits].tolist()
+            for index, was, new in zip(indices[hits].tolist(), old[hits].tolist(), news):
+                cells[index] = new
+                if recorder is not None:
+                    recorder(index, was, new)
         finally:
             for lock in reversed(self._locks):
                 lock.release()
-        mask = np.zeros(len(indices), dtype=bool)
-        mask[changed] = True
+        mask[hits if positions is None else positions[hits]] = True
         return mask
 
     def monotone_max(self, index: int, candidate: int) -> Update:
@@ -315,17 +340,28 @@ class Problem:
     forward in lattice order and may push follow-up work items (tuples
     of ``(index, priority)``; priority is advisory only).
 
-    An adapter may also supply a vector step, ``ensure_batch(state,
-    indices) -> wake``, which ``allpar`` then runs in place of one
-    ``ensure`` per index.  It checks every index of the int64 array
-    ``indices`` against one read of the state, lowers (or raises) the
-    forbidden ones in one bulk write, and counts work as ``ensure`` does:
-    one evaluation per index, one advance or failed replace per
-    forbidden one; it adds to ``advances`` only when it advanced
-    something, because the scan's stop rule compares that counter.
-    ``wake`` holds the indices whose check its writes may have changed;
-    an index outside it must stay unforbidden unless some other write
-    wakes it.  The post-solve scan still uses the scalar ``is_forbidden``.
+    An adapter whose state is one cell per index may also supply two
+    vector operations over a uint64 numpy copy ``values`` of the cells:
+
+    - ``forbidden_batch(values, indices) -> (forbidden, witnesses)``, a
+      pure check of the int64 array ``indices``: ``forbidden`` holds the
+      forbidden ones in input order, and ``witnesses[k]`` is the value
+      an advance of ``forbidden[k]`` writes.  It agrees with
+      ``is_forbidden`` and counts nothing.  The post-solve scan then
+      runs it once over every index instead of ``is_forbidden``.
+    - ``ensure_batch(state, indices, values) -> wake``, which ``allpar``
+      runs in place of one ``ensure`` per index.  ``values`` is the
+      solver's mirror of the cells: it may lag them but is never ahead
+      of them in lattice order (see ``solvers._run_batches``).  The step
+      checks ``indices``
+      against it, lowers (or raises) the forbidden ones in one bulk
+      write, copies each change into ``values``, and counts work as
+      ``ensure`` does: one evaluation per index, one advance or failed
+      replace per forbidden one; it adds to ``advances`` only when it
+      advanced something, because the scan's stop rule compares that
+      counter.  ``wake`` holds the indices whose check its writes may
+      have changed; an index outside it must stay unforbidden unless
+      some other write wakes it.
     """
 
     #: "min" or "max"; the direction coordinates move.
@@ -336,6 +372,9 @@ class Problem:
     #: Optional per-index advance ceiling; advancing past it raises
     #: InfeasibleError.
     bound: Optional[list] = None
+    #: Optional vector check (see above); None keeps the post-solve scan
+    #: on ``is_forbidden``.
+    forbidden_batch = None
     #: Optional vector step (see above); None keeps ``allpar`` on ``ensure``.
     ensure_batch = None
 

@@ -81,7 +81,7 @@ class TransitiveClosure(Problem):
         return changed
 
     def final_solution(self, state: GlobalState) -> np.ndarray:
-        return np.array(state.values.snapshot(), dtype=np.uint64)
+        return state.values.to_numpy()
 
     def reachability_matrix(self, solution) -> np.ndarray:
         """Unpack a packed word vector into an n-by-n boolean matrix."""

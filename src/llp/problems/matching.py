@@ -116,7 +116,7 @@ class StableMatching(Problem):
         return True
 
     def final_solution(self, state: GlobalState) -> np.ndarray:
-        return np.array(state.values.snapshot(), dtype=np.uint64)
+        return state.values.to_numpy()
 
     def partners(self, solution) -> list:
         """Woman matched to each man under the given proposal indices."""

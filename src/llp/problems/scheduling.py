@@ -82,4 +82,4 @@ class JobScheduling(Problem):
             raise MalformedInstanceError(
                 "unfixed jobs remain; the prerequisite graph is cyclic"
             )
-        return np.array(state.values.snapshot(), dtype=np.uint64)
+        return state.values.to_numpy()

@@ -18,6 +18,13 @@ def _row_arcs(offsets: np.ndarray, rows: np.ndarray):
     return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(lo - starts, counts), counts
 
 
+def _target_lists(graph: CsrGraph) -> list:
+    """Each vertex's arc targets as a plain list, in CSR order."""
+    offs = graph.offsets.tolist()
+    targets = graph.targets.tolist()
+    return [targets[offs[u] : offs[u + 1]] for u in range(graph.num_vertices)]
+
+
 class ShortestPaths(Problem):
     """Tentative distances d(v) relax downward until no edge improves them.
 
@@ -29,9 +36,10 @@ class ShortestPaths(Problem):
     is sound because cells only fall: an edge that does not improve x now
     cannot until d(v) falls again, and that fall pushes x again.
 
-    ``ensure_batch`` is the same check and advance for many vertices at
-    once, over numpy gathers of the CSR arcs; it wakes the out-neighbours
-    that the push rule would push.
+    ``forbidden_batch`` is the same check for many vertices at once, over
+    numpy gathers of the CSR arcs, with each forbidden vertex's best
+    candidate as its witness.  ``ensure_batch`` writes those candidates
+    and wakes the out-neighbours that the push rule would push.
     """
 
     lattice = "min"
@@ -110,21 +118,23 @@ class ShortestPaths(Problem):
     def _arc_weights(self, graph: CsrGraph, arcs: np.ndarray):
         return graph.weights[arcs]
 
-    def ensure_batch(self, state: GlobalState, indices: np.ndarray) -> np.ndarray:
-        stats = state.stats
-        stats.predicate_evals += len(indices)
+    def forbidden_batch(self, values: np.ndarray, indices: np.ndarray):
         rev = self._rev
         v = indices[(indices != self.source) & (rev.offsets[indices + 1] > rev.offsets[indices])]
         if not len(v):
-            return v
-        d = np.fromiter(state.values.cells(), dtype=np.uint64, count=self.size)
+            return v, values[:0]
         arcs, counts = _row_arcs(rev.offsets, v)
         w = self._arc_weights(rev, arcs)
         # Saturating, so exact at INF: min(d, INF - w) + w never wraps.
-        cand = np.minimum(d[rev.targets[arcs]], INF - w) + w
+        cand = np.minimum(values[rev.targets[arcs]], INF - w) + w
         best = np.minimum.reduceat(cand, np.cumsum(counts) - counts)
-        forbidden = best < d[v]
-        v, best = v[forbidden], best[forbidden]
+        forbidden = best < values[v]
+        return v[forbidden], best[forbidden]
+
+    def ensure_batch(self, state: GlobalState, indices: np.ndarray, d: np.ndarray) -> np.ndarray:
+        stats = state.stats
+        stats.predicate_evals += len(indices)
+        v, best = self.forbidden_batch(d, indices)
         if not len(v):
             return v
         changed = state.values.monotone_min_many(v, best)
@@ -134,28 +144,27 @@ class ShortestPaths(Problem):
         if advanced:
             stats.advances += advanced
         stats.failed_replaces += len(v) - advanced
-        # Wake the out-neighbours x with d(v) + w < d(x), the push rule.
-        # d is the read above plus this batch's writes; a stale d(x) only
-        # wakes more.
         v, best = v[changed], best[changed]
         d[v] = best
+        # Wake the out-neighbours x with d(v) + w < d(x), the push rule;
+        # d(x) is never below the cell, so a stale one only wakes more.
         arcs, counts = _row_arcs(self.graph.offsets, v)
         w = self._arc_weights(self.graph, arcs)
         x = self.graph.targets[arcs]
         return x[np.minimum(np.repeat(best, counts), INF - w) + w < d[x]]
 
     def final_solution(self, state: GlobalState) -> np.ndarray:
-        return np.array(state.values.snapshot(), dtype=np.uint64)
+        return state.values.to_numpy()
 
 
 class BreadthFirstLevels(ShortestPaths):
     """Hop levels from a source; shortest paths with every weight one.
 
     A vertex is forbidden when an in-neighbour sits more than one level
-    below it.  The check, the advance, ``ensure`` and ``ensure_batch``
-    are those of :class:`ShortestPaths` with every weight one: lowering v
-    to level d pushes only the out-neighbours x with d + 1 < d(x), each
-    keyed by its candidate level d + 1.
+    below it.  The check, the advance, ``ensure`` and the vector
+    operations are those of :class:`ShortestPaths` with every weight
+    one: lowering v to level d pushes only the out-neighbours x with
+    d + 1 < d(x), each keyed by its candidate level d + 1.
     """
 
     def __init__(self, graph: CsrGraph, source: int = 0):
@@ -165,8 +174,8 @@ class BreadthFirstLevels(ShortestPaths):
         self.source = source
         self.size = graph.num_vertices
         self._rev = graph.reversed()
-        self._out = [[v for v, _w in row] for row in graph.adjacency_lists()]
-        self._in = [[v for v, _w in row] for row in self._rev.adjacency_lists()]
+        self._out = _target_lists(graph)
+        self._in = _target_lists(self._rev)
 
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((v, 0) for v in self._out[self.source])

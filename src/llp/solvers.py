@@ -6,9 +6,12 @@ indices are selected.  ``cyclic`` and ``allpar`` sweep index ranges in
 passes until a pass advances nothing; the others pop a worklist until
 it is quiescent.  ``allpar`` over an adapter with a vector step
 (``Problem.ensure_batch``) checks only the changed frontier of each
-range per pass, in one batch.  One harness starts, joins and reports
-the errors of every strategy's workers.  After any solve, a full scan
-asserts that no index is forbidden before the solution is extracted.
+range per pass, in one batch, against a numpy mirror of the cells kept
+across passes.  One harness starts, joins and reports the errors of
+every strategy's workers.  After any solve, a full scan asserts that no
+index is forbidden before the solution is extracted: one vector check
+(``Problem.forbidden_batch``) over all indices where the adapter has
+one, else ``is_forbidden`` index by index.
 
 Strategies
 ----------
@@ -97,7 +100,18 @@ def scan_for_forbidden(problem: Problem, state: GlobalState) -> Optional[int]:
 
 
 def _finish(problem: Problem, state: GlobalState) -> SolveResult:
-    bad = scan_for_forbidden(problem, state)
+    """Certify that no index is forbidden, then extract the solution.
+
+    An adapter with a vector check runs it once over every index, on one
+    read of the cells; it reports the forbidden indices in order, so the
+    first is the one ``scan_for_forbidden`` would return.
+    """
+    if problem.forbidden_batch is None:
+        bad = scan_for_forbidden(problem, state)
+    else:
+        values = state.values.to_numpy()
+        forbidden, _witnesses = problem.forbidden_batch(values, np.arange(problem.size))
+        bad = int(forbidden[0]) if len(forbidden) else None
     if bad is not None:
         raise IncompleteSolveError(bad)
     return SolveResult(problem.final_solution(state), state)
@@ -220,22 +234,35 @@ def _run_scan(problem: Problem, state: GlobalState, ranges: list) -> None:
 def _run_batches(problem: Problem, state: GlobalState, ranges: list) -> None:
     """Run ``ensure_batch`` over each range's changed frontier, one worker per range.
 
+    ``d`` mirrors the cells: one read of them per solve, then every
+    batch copies its own writes into it.  This is sound because only
+    v's range owner writes v, and it sets ``d[v]`` right after its bulk
+    write lowers the cell, before its sweep sets any dirty bit.  So
+    ``d`` is never below the cells, and a worker reads its own indices
+    exactly.  A peer that reads ``d[v]`` stale-high read it before the
+    copy, and it cleared its own bits before that read; the owner's
+    wake, computed from the copy and set after it, therefore lands after
+    the clear, and the peer checks again next pass.
+
     ``dirty`` marks the indices to check next pass; pass 1 checks all.
     The frontier is sound: an index left clean was not forbidden at its
     last check, and none of its inputs has changed since, because every
-    write wakes the indices whose check it may change.  A worker clears
-    its indices' bits *before* its batch reads the state, so a write that
-    races that read sets its targets' bits after the clear, and they are
-    checked next pass.  An empty frontier is therefore a fixed point;
-    the post-solve scan certifies it all the same.
+    write wakes the indices whose check it may change (a wake compares
+    against ``d``, which is never below the cells, so it can only wake
+    more).  A worker clears its indices' bits *before* its batch reads
+    ``d``, so a write that races that read sets its targets' bits after
+    the clear, and they are checked next pass.  An empty frontier is
+    therefore a fixed point; the post-solve scan certifies it all the
+    same, against the cells themselves.
     """
     dirty = np.ones(problem.size, dtype=bool)
+    d = state.values.to_numpy()
     ensure_batch = problem.ensure_batch
 
     def sweep(indices: range) -> None:
         todo = np.flatnonzero(dirty[indices.start : indices.stop]) + indices.start
         dirty[todo] = False
-        dirty[ensure_batch(state, todo)] = True
+        dirty[ensure_batch(state, todo, d)] = True
 
     _run_passes(state, [partial(sweep, r) for r in ranges])
 

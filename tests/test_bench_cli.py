@@ -88,9 +88,8 @@ class _InvertedShortestPaths(ShortestPaths):
         state.stats.predicate_evals += 1
         return False
 
-    def ensure_batch(self, state, indices):
-        state.stats.predicate_evals += len(indices)
-        return indices[:0]
+    def forbidden_batch(self, values, indices):
+        return indices[:0], values[:0]
 
 
 def test_run_verify_flags_broken_adapter():

@@ -115,6 +115,49 @@ def test_allpar_vector_step_oracle_suite(adapter_class, oracle, seed):
             assert np.array_equal(got, want), (draw, threads)
 
 
+@pytest.mark.parametrize("adapter_class", [ShortestPaths, BreadthFirstLevels])
+@pytest.mark.parametrize("seed", range(4))
+def test_forbidden_batch_agrees_with_is_forbidden(adapter_class, seed):
+    # The scalar check is the reference for the vector post-solve scan.
+    # States are random, not fixed points: INF cells and cells near INF,
+    # the source at any value and with in-arcs, vertices without in-arcs,
+    # duplicate arcs both lighter and heavier, shuffled index subsets.
+    # Each witness is the value the scalar advance writes.
+    rng = SplitMix64(0xF0B ^ seed)
+    pool = [INF, INF - 1, INF - 4, 0, 1, 2, 3, 5, 8, 13, 21]
+    found = 0
+    for draw in range(20):
+        n = rng.uniform(1, 60)
+        source = rng.below(n)
+        arcs = [(rng.below(n), rng.below(n), rng.uniform(1, 9)) for _ in range(rng.uniform(0, 2 * n))]
+        arcs += [(u, v, rng.uniform(1, 12)) for u, v, _w in arcs[::2]]
+        adapter = adapter_class(CsrGraph.from_edges(n, arcs), source)
+        cells = [pool[rng.below(len(pool))] for _ in range(n)]
+        values = np.array(cells, dtype=np.uint64)
+        state = GlobalState(cells)
+        order = list(range(n))
+        rng.shuffle(order)
+        indices = np.array(order[: rng.uniform(0, n)], dtype=np.int64)
+        forbidden, witnesses = adapter.forbidden_batch(values, indices)
+        assert forbidden.tolist() == [v for v in indices.tolist() if adapter.is_forbidden(state, v)], draw
+        assert values.tolist() == cells and state.values.snapshot() == cells
+        for v, witness in zip(forbidden.tolist(), witnesses.tolist()):
+            probe = GlobalState(cells)
+            assert adapter.advance(probe, v, SeqBag())
+            assert probe.values.load(v) == witness, (draw, v)
+        found += len(forbidden)
+    assert found > 0
+
+
+def test_bfs_adjacency_matches_the_weighted_lists():
+    # Arc targets in CSR order, duplicates and empty rows included.
+    graph = CsrGraph.from_edges(7, [(0, 1, 1), (0, 1, 4), (1, 2, 2), (3, 1, 1), (2, 0, 5), (3, 2, 1)])
+    for g in (graph, generate("randgraph:n=300,m=900,wmax=9", 2).graph):
+        adapter = BreadthFirstLevels(g, source=0)
+        assert adapter._out == [[v for v, _w in row] for row in g.adjacency_lists()]
+        assert adapter._in == [[v for v, _w in row] for row in g.reversed().adjacency_lists()]
+
+
 def test_bfs_chain_levels():
     got = solve(adapter_for("bfs", generate("chain:3", 0)), strategy="bag")
     assert got.tolist() == [0, 1, 2]

@@ -8,13 +8,14 @@ import pytest
 
 from llp.baselines import gale_shapley_seq, topo_sort_seq
 from llp.core import INF, GlobalState, IncompleteSolveError, InfeasibleError, Problem
-from llp.instances import example_graph, generate
-from llp.problems import ShortestPaths, adapter_for
+from llp.instances import CsrGraph, example_graph, generate
+from llp.problems import BreadthFirstLevels, ShortestPaths, adapter_for
 from llp.solvers import (
     PARALLEL_STRATEGIES,
     SEQUENTIAL_STRATEGIES,
     STRATEGIES,
     SolverConfig,
+    _finish,
     run_solver,
     scan_for_forbidden,
     solve,
@@ -164,9 +165,9 @@ class _StuckPaths(ShortestPaths):
         state.stats.predicate_evals += 1
         return True
 
-    def ensure_batch(self, state, indices):
+    def ensure_batch(self, state, indices, d):
         stuck = indices == 1
-        wake = super().ensure_batch(state, indices[~stuck])
+        wake = super().ensure_batch(state, indices[~stuck], d)
         state.stats.predicate_evals += int(stuck.sum())
         return np.append(wake, 1)  # keeps the frontier from emptying
 
@@ -192,6 +193,23 @@ def test_scan_ends_when_a_check_never_clears(strategy, threads):
     assert outcome[0].index == 1
 
 
+class _ScalarCertifiedPaths(ShortestPaths):
+    forbidden_batch = None
+
+
+@pytest.mark.parametrize("adapter_class", [ShortestPaths, BreadthFirstLevels, _ScalarCertifiedPaths])
+def test_certification_reports_the_first_forbidden_index(adapter_class):
+    # Vertices 2, 4 and 5 are forbidden; 3 sits above its unreached
+    # in-neighbour, and vertex 6 has no in-arc.
+    graph = CsrGraph.from_edges(7, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 2), (4, 5, 1), (3, 5, 1)])
+    adapter = adapter_class(graph, source=0)
+    state = GlobalState([0, 1, INF, 1, 9, INF, INF])
+    assert scan_for_forbidden(adapter, state) == 2
+    with pytest.raises(IncompleteSolveError) as raised:
+        _finish(adapter, state)
+    assert raised.value.index == 2
+
+
 class _ThreadRecordingPaths(ShortestPaths):
     """Records the thread of every ``ensure`` and ``ensure_batch`` call in ``callers``."""
 
@@ -199,9 +217,9 @@ class _ThreadRecordingPaths(ShortestPaths):
         self.callers.add(threading.get_ident())
         return super().ensure(state, v, worklist)
 
-    def ensure_batch(self, state, indices):
+    def ensure_batch(self, state, indices, d):
         self.callers.add(threading.get_ident())
-        return super().ensure_batch(state, indices)
+        return super().ensure_batch(state, indices, d)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
