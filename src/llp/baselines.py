@@ -156,7 +156,7 @@ def delta_stepping(graph: CsrGraph, source: int = 0, delta=None, threads: int = 
 
 def bfs_seq(graph: CsrGraph, source: int = 0) -> np.ndarray:
     n = graph.num_vertices
-    adj = [[v for v, _ in row] for row in graph.adjacency_lists()]
+    adj = graph.successor_lists()
     level = [INF] * n
     level[source] = 0
     queue = deque([source])
@@ -173,7 +173,7 @@ def bfs_seq(graph: CsrGraph, source: int = 0) -> np.ndarray:
 def bfs_mt_queue(graph: CsrGraph, source: int = 0, threads: int = 2) -> np.ndarray:
     """The anti-scaling-prone shape: one global FIFO shared by all workers."""
     n = graph.num_vertices
-    adj = [[v for v, _ in row] for row in graph.adjacency_lists()]
+    adj = graph.successor_lists()
     level = [INF] * n
     level[source] = 0
     queue = deque([source])
@@ -280,11 +280,8 @@ def gale_shapley_rounds(mprefs, wprefs, threads: int = 1) -> np.ndarray:
 def topo_sort_seq(graph: CsrGraph, durations) -> np.ndarray:
     """Kahn's algorithm computing earliest completion times."""
     n = graph.num_vertices
-    succ = [[v for v, _ in row] for row in graph.adjacency_lists()]
-    n_pred = [0] * n
-    for children in succ:
-        for c in children:
-            n_pred[c] += 1
+    succ = graph.successor_lists()
+    n_pred = graph.in_degrees()
     completion = [0] * n
     ready = deque(j for j in range(n) if n_pred[j] == 0)
     seen = 0
@@ -306,15 +303,9 @@ def topo_sort_seq(graph: CsrGraph, durations) -> np.ndarray:
 def topo_levels_par(graph: CsrGraph, durations, threads: int = 2) -> np.ndarray:
     """Level-synchronous variant: one topological frontier per round."""
     n = graph.num_vertices
-    succ = [[v for v, _ in row] for row in graph.adjacency_lists()]
-    n_pred = [0] * n
-    for children in succ:
-        for c in children:
-            n_pred[c] += 1
-    preds = [[] for _ in range(n)]
-    for u in range(n):
-        for c in succ[u]:
-            preds[c].append(u)
+    succ = graph.successor_lists()
+    n_pred = graph.in_degrees()
+    preds = graph.reversed().successor_lists()
     completion = [0] * n
     frontier = [j for j in range(n) if n_pred[j] == 0]
     seen = 0
@@ -386,8 +377,7 @@ def floyd_warshall_par(graph: CsrGraph, threads: int = 1) -> np.ndarray:
     """
     n = graph.num_vertices
     reach = np.zeros((n, n), dtype=bool)
-    for u, v, _w in graph.arcs():
-        reach[u, v] = True
+    reach[graph.sources(), graph.targets] = True
     if n:
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         try:

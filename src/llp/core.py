@@ -83,7 +83,8 @@ class AtomicU64Array:
     Loads are plain list reads (GIL-atomic).  All mutation goes through
     one of 64 striped locks, so concurrent read-modify-write operations
     on the same cell serialize and stale writes can never regress a
-    monotone cell.
+    monotone cell.  An initial value outside [0, 2**64) raises
+    ``OverflowError``.
     """
 
     __slots__ = ("_cells", "_locks", "_recorder")
@@ -91,7 +92,7 @@ class AtomicU64Array:
     _STRIPES = 64  # power of two
 
     def __init__(self, values: Iterable[int], recorder: Optional[Recorder] = None):
-        self._cells = [int(v) & U64_MASK for v in values]
+        self._cells = array("Q", values).tolist()
         self._locks = [threading.Lock() for _ in range(self._STRIPES)]
         self._recorder = recorder
 

@@ -107,60 +107,57 @@ class CsrGraph:
         return len(self.targets)
 
     @staticmethod
+    def _from_arcs(num_vertices: int, sources, targets, weights) -> "CsrGraph":
+        """Build from parallel arc arrays, stably sorted by source."""
+        order = np.argsort(sources, kind="stable")
+        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=num_vertices), out=offsets[1:])
+        return CsrGraph(num_vertices, offsets, targets[order], weights[order])
+
+    @staticmethod
     def from_edges(num_vertices: int, edges: List[Tuple[int, int, int]]) -> "CsrGraph":
         """Build from (u, v, w) arcs; duplicates are kept."""
-        m = len(edges)
-        if m == 0:
-            return CsrGraph(num_vertices, np.zeros(num_vertices + 1, dtype=np.int64), [], [])
-        arr = np.asarray(edges, dtype=np.uint64)
-        us = arr[:, 0].astype(np.int64)
-        order = np.argsort(us, kind="stable")
-        counts = np.bincount(us, minlength=num_vertices)
-        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return CsrGraph(num_vertices, offsets, arr[order, 1].astype(np.int64), arr[order, 2])
+        arr = np.asarray(edges, dtype=np.uint64).reshape(-1, 3)
+        return CsrGraph._from_arcs(
+            num_vertices, arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
+        )
+
+    def sources(self) -> np.ndarray:
+        """Each arc's source vertex, in row order."""
+        return np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.offsets))
 
     def arcs(self) -> List[Tuple[int, int, int]]:
         """All (u, v, w) arcs in row order."""
-        offs = self.offsets.tolist()
-        tgt = self.targets.tolist()
-        wts = self.weights.tolist()
-        out: List[Tuple[int, int, int]] = []
-        for u in range(self.num_vertices):
-            lo, hi = offs[u], offs[u + 1]
-            out.extend(zip([u] * (hi - lo), tgt[lo:hi], wts[lo:hi]))
-        return out
+        return list(zip(self.sources().tolist(), self.targets.tolist(), self.weights.tolist()))
 
     def reversed(self) -> "CsrGraph":
-        sources = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), np.diff(self.offsets)
-        )
-        m = self.num_edges
-        if m == 0:
-            return CsrGraph(self.num_vertices, np.zeros(self.num_vertices + 1, dtype=np.int64), [], [])
-        order = np.argsort(self.targets, kind="stable")
-        counts = np.bincount(self.targets, minlength=self.num_vertices)
-        offsets = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return CsrGraph(self.num_vertices, offsets, sources[order], self.weights[order])
+        return CsrGraph._from_arcs(self.num_vertices, self.targets, self.sources(), self.weights)
 
     def symmetrized(self) -> "CsrGraph":
-        sources = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), np.diff(self.offsets)
+        """Every arc and its reverse: row u lists u's own arcs, then the reverses of arcs into u."""
+        sources = self.sources()
+        return CsrGraph._from_arcs(
+            self.num_vertices,
+            np.concatenate((sources, self.targets)),
+            np.concatenate((self.targets, sources)),
+            np.concatenate((self.weights, self.weights)),
         )
-        both = [(int(u), int(v), int(w)) for u, v, w in zip(sources, self.targets, self.weights)]
-        both.extend((v, u, w) for u, v, w in both[: self.num_edges])
-        return CsrGraph.from_edges(self.num_vertices, both)
+
+    def in_degrees(self) -> List[int]:
+        """Each vertex's count of incoming arcs, duplicates included."""
+        return np.bincount(self.targets, minlength=self.num_vertices).tolist()
+
+    def successor_lists(self) -> List[List[int]]:
+        """Each vertex's arc targets as a plain list, in CSR order."""
+        offs = self.offsets.tolist()
+        targets = self.targets.tolist()
+        return [targets[offs[u] : offs[u + 1]] for u in range(self.num_vertices)]
 
     # Adjacency in plain Python lists for hot solver loops.
     def adjacency_lists(self) -> List[List[Tuple[int, int]]]:
         offs = self.offsets.tolist()
-        tgt = self.targets.tolist()
-        wts = self.weights.tolist()
-        return [
-            list(zip(tgt[offs[u] : offs[u + 1]], wts[offs[u] : offs[u + 1]]))
-            for u in range(self.num_vertices)
-        ]
+        pairs = list(zip(self.targets.tolist(), self.weights.tolist()))
+        return [pairs[offs[u] : offs[u + 1]] for u in range(self.num_vertices)]
 
 
 @dataclass

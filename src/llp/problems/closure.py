@@ -34,11 +34,8 @@ class TransitiveClosure(Problem):
         n = graph.num_vertices
         self.size = n
         self.words_per_row = max(1, (n + 63) // 64)
-        self._succ = [[] for _ in range(n)]
-        self._pred = [[] for _ in range(n)]
-        for u, v in sorted({(u, v) for u, v, _w in graph.arcs()}):
-            self._succ[u].append(v)
-            self._pred[v].append(u)
+        self._succ = [sorted(set(row)) for row in graph.successor_lists()]
+        self._pred = [sorted(set(row)) for row in graph.reversed().successor_lists()]
 
     def init_state(self, recorder=None) -> GlobalState:
         wpr = self.words_per_row

@@ -33,11 +33,8 @@ class JobScheduling(Problem):
             raise ValueError("durations must match the vertex count")
         self.size = graph.num_vertices
         self.durations = [int(t) for t in durations]
-        self._succ = [[v for v, _w in row] for row in graph.adjacency_lists()]
-        self._n_pred = [0] * self.size
-        for children in self._succ:
-            for c in children:
-                self._n_pred[c] += 1
+        self._succ = graph.successor_lists()
+        self._n_pred = graph.in_degrees()
 
     def init_state(self, recorder=None) -> GlobalState:
         from ..core import AtomicU64Array

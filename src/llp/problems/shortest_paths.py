@@ -18,13 +18,6 @@ def _row_arcs(offsets: np.ndarray, rows: np.ndarray):
     return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(lo - starts, counts), counts
 
 
-def _target_lists(graph: CsrGraph) -> list:
-    """Each vertex's arc targets as a plain list, in CSR order."""
-    offs = graph.offsets.tolist()
-    targets = graph.targets.tolist()
-    return [targets[offs[u] : offs[u + 1]] for u in range(graph.num_vertices)]
-
-
 class ShortestPaths(Problem):
     """Tentative distances d(v) relax downward until no edge improves them.
 
@@ -43,6 +36,8 @@ class ShortestPaths(Problem):
     """
 
     lattice = "min"
+    # Plain-list adjacency, (target, weight) pairs: these loops dominate solve time.
+    _adjacency = staticmethod(CsrGraph.adjacency_lists)
 
     def __init__(self, graph: CsrGraph, source: int = 0):
         if not 0 <= source < graph.num_vertices:
@@ -51,9 +46,8 @@ class ShortestPaths(Problem):
         self.source = source
         self.size = graph.num_vertices
         self._rev = graph.reversed()
-        # Plain-list adjacency: these loops dominate solve time.
-        self._out = graph.adjacency_lists()
-        self._in = self._rev.adjacency_lists()
+        self._out = self._adjacency(graph)
+        self._in = self._adjacency(self._rev)
 
     def init_state(self, recorder=None) -> GlobalState:
         values = [INF] * self.size
@@ -167,15 +161,7 @@ class BreadthFirstLevels(ShortestPaths):
     d + 1 < d(x), each keyed by its candidate level d + 1.
     """
 
-    def __init__(self, graph: CsrGraph, source: int = 0):
-        if not 0 <= source < graph.num_vertices:
-            raise ValueError("source out of range")
-        self.graph = graph
-        self.source = source
-        self.size = graph.num_vertices
-        self._rev = graph.reversed()
-        self._out = _target_lists(graph)
-        self._in = _target_lists(self._rev)
+    _adjacency = staticmethod(CsrGraph.successor_lists)
 
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((v, 0) for v in self._out[self.source])

@@ -105,6 +105,13 @@ def test_monotone_min_many_matches_scalar_updates(batch, start):
     assert sorted(indices[mask].tolist()) == [i for i, _old, _new in sorted(changes)]
 
 
+@pytest.mark.parametrize("value", [-1, 2**64])
+def test_initial_value_outside_u64_raises(value):
+    # Wrapping would store INF for -1 and 0 for 2**64.
+    with pytest.raises(OverflowError):
+        AtomicU64Array([value])
+
+
 def test_to_numpy_copies_every_cell():
     cells = AtomicU64Array([0, 7, INF])
     values = cells.to_numpy()

@@ -1,9 +1,11 @@
 """Instance generation: determinism, grammar, file loading."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llp.bench import fnv1a_64
 from llp.instances import (
     CsrGraph,
     FormatError,
@@ -87,6 +89,24 @@ def test_generator_determinism_byte_identical(spec):
         assert instance_bytes(generate(spec, 5)) != instance_bytes(generate(spec, 6))
 
 
+@pytest.mark.parametrize(
+    "spec,expected",
+    [
+        ("chain:9", "1fa1cb0dd0eea374"),
+        ("randgraph:n=20,m=35,wmax=7", "a57dd90f58f91dde"),
+        ("dag:n=15,p=0.3", "bc14272cd82d69a2"),
+        ("closuredag:n=12,p=0.25", "2dd32c792de4a62c"),
+        ("sm:n=8", "a6ba25bd7673cfb0"),
+        ("knap:n=9,cap=30,wmax=10,vmax=12", "e86db327fc41ee36"),
+        ("reduce:n=17", "ce5fb2e4a37ff9c9"),
+    ],
+)
+def test_generated_bytes_are_pinned(spec, expected):
+    # Frozen hashes: a change to the draws, the arc order or the
+    # serialization breaks every fingerprint recorded before it.
+    assert f"{fnv1a_64(instance_bytes(generate(spec, 5))):016x}" == expected
+
+
 def test_dag_durations_in_documented_range():
     inst = generate("dag:n=200,p=0.2", 3)
     assert all(1 <= t <= 80 for t in inst.durations)
@@ -117,6 +137,33 @@ def test_csr_round_trip_keeps_edge_multiset():
     g = CsrGraph.from_edges(3, edges)
     assert sorted(g.arcs()) == sorted(edges)
     assert sorted(g.reversed().arcs()) == sorted((v, u, w) for u, v, w in edges)
+
+
+@pytest.mark.parametrize(
+    "n,edges,arcs,reversed_arcs,successors,in_degrees",
+    [
+        (3, [], [], [], [[], [], []], [0, 0, 0]),
+        (
+            4,
+            [(3, 0, 2), (0, 3, 1), (0, 3, 1), (3, 1, 4), (0, 1, 7)],
+            [(0, 3, 1), (0, 3, 1), (0, 1, 7), (3, 0, 2), (3, 1, 4)],
+            [(0, 3, 2), (1, 0, 7), (1, 3, 4), (3, 0, 1), (3, 0, 1)],
+            [[3, 3, 1], [], [], [0, 1]],
+            [1, 2, 0, 2],
+        ),
+    ],
+    ids=["no-arcs", "isolated-vertex-and-duplicates"],
+)
+def test_csr_views_keep_row_order(n, edges, arcs, reversed_arcs, successors, in_degrees):
+    g = CsrGraph.from_edges(n, edges)
+    assert g.arcs() == arcs
+    assert g.reversed().arcs() == reversed_arcs
+    assert g.successor_lists() == successors
+    assert g.in_degrees() == in_degrees
+    both = CsrGraph.from_edges(n, arcs + [(v, u, w) for u, v, w in arcs])
+    sym = g.symmetrized()
+    assert sym.arcs() == both.arcs()
+    assert np.array_equal(sym.offsets, both.offsets)
 
 
 def test_csr_rejects_inconsistent_offsets():
