@@ -2,10 +2,13 @@
 
 Instances are reproducible from ``(spec, seed)`` alone: the generator
 uses splitmix64, which is five lines of pure 64-bit arithmetic and hence
-produces identical draws in any implementation language.  Uniform
-integer draws use plain modulo reduction; the bias is negligible at the
-ranges used here and accepting it keeps the draw sequence trivially
-portable.
+produces identical draws in any implementation language.  Its k-th
+output is a pure mix of ``seed + k * GOLDEN mod 2**64`` (a counter
+function), so a generator whose draw count is known in advance takes a
+whole block with ``SplitMix64.draws`` in numpy and gets the same bits
+as that many scalar ``next_u64`` calls.  Uniform integer draws use plain
+modulo reduction; the bias is negligible at the ranges used here and
+accepting it keeps the draw sequence trivially portable.
 
 Spec grammar::
 
@@ -68,6 +71,19 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * self.MIX2) & _MASK
         return z ^ (z >> 31)
 
+    def draws(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as uint64, as ``count`` calls of ``next_u64``."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(self.GOLDEN)  # wraps mod 2**64, like the scalar state
+        z += np.uint64(self._state)
+        self._state = (self._state + count * self.GOLDEN) & _MASK
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(self.MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(self.MIX2)
+        z ^= z >> np.uint64(31)
+        return z
+
     def below(self, n: int) -> int:
         """Uniform draw in [0, n); modulo reduction, bias accepted."""
         return self.next_u64() % n
@@ -82,8 +98,11 @@ class SplitMix64:
 
     def shuffle(self, xs: list) -> None:
         """In-place Fisher-Yates shuffle."""
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.below(i + 1)
+        n = len(xs)
+        if n < 2:
+            return
+        picks = (self.draws(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
             xs[i], xs[j] = xs[j], xs[i]
 
 
@@ -147,16 +166,20 @@ class CsrGraph:
         """Each vertex's count of incoming arcs, duplicates included."""
         return np.bincount(self.targets, minlength=self.num_vertices).tolist()
 
+    def _target_objects(self) -> list:
+        """Arc targets as Python ints, one shared int object per vertex."""
+        return np.array(range(self.num_vertices), dtype=object)[self.targets].tolist()
+
     def successor_lists(self) -> List[List[int]]:
         """Each vertex's arc targets as a plain list, in CSR order."""
         offs = self.offsets.tolist()
-        targets = self.targets.tolist()
+        targets = self._target_objects()
         return [targets[offs[u] : offs[u + 1]] for u in range(self.num_vertices)]
 
     # Adjacency in plain Python lists for hot solver loops.
     def adjacency_lists(self) -> List[List[Tuple[int, int]]]:
         offs = self.offsets.tolist()
-        pairs = list(zip(self.targets.tolist(), self.weights.tolist()))
+        pairs = list(zip(self._target_objects(), self.weights.tolist()))
         return [pairs[offs[u] : offs[u + 1]] for u in range(self.num_vertices)]
 
 
@@ -238,14 +261,16 @@ def _float_param(params: dict, key: str, spec: str) -> float:
     return value
 
 
-def _dag_edges(n: int, p: float, rng: SplitMix64) -> List[Tuple[int, int, int]]:
-    # One draw per (i, j) pair in lexicographic order.
-    edges = []
+def _dag_graph(n: int, p: float, rng: SplitMix64) -> CsrGraph:
+    # One draw per (i, j) pair in lexicographic order, one block per row i;
+    # the test is ``SplitMix64.chance`` on the whole block.
+    sources, targets = [], []
     for i in range(n):
-        for j in range(i + 1, n):
-            if rng.chance(p):
-                edges.append((i, j, 1))
-    return edges
+        js = np.flatnonzero((rng.draws(n - 1 - i) >> np.uint64(11)) * 2.0**-53 < p) + (i + 1)
+        sources.append(np.full(len(js), i, dtype=np.int64))
+        targets.append(js)
+    sources, targets = np.concatenate(sources), np.concatenate(targets)
+    return CsrGraph._from_arcs(n, sources, targets, np.ones(len(targets), dtype=np.uint64))
 
 
 def _no_leftovers(params: dict, spec: str) -> None:
@@ -281,15 +306,14 @@ def generate(spec: str, seed: int):
         m = _int_param(params, "m", spec)
         wmax = _int_param(params, "wmax", spec, default=100)
         _no_leftovers(params, spec)
-        edges = []
-        for _ in range(m):
-            u = rng.below(n)
-            v = rng.below(n)
-            if u == v:
-                v = (v + 1) % n  # deterministic self-loop avoidance
-            w = rng.uniform(1, wmax)
-            edges.append((u, v, w))
-        graph = CsrGraph.from_edges(n, edges).symmetrized()
+        # Per edge three draws: u, v, then w in [1, wmax].
+        block = rng.draws(3 * m).reshape(m, 3)
+        u = (block[:, 0] % np.uint64(n)).astype(np.int64)
+        v = (block[:, 1] % np.uint64(n)).astype(np.int64)
+        v = np.where(u == v, (v + 1) % n, v)  # deterministic self-loop avoidance
+        w = block[:, 2] % np.uint64(wmax) + np.uint64(1)
+        del block
+        graph = CsrGraph._from_arcs(n, u, v, w).symmetrized()
         return GraphInstance("graph", graph, source=0, spec=spec)
 
     if name in ("dag", "closuredag"):
@@ -298,11 +322,10 @@ def generate(spec: str, seed: int):
             raise OverflowError("pair count exceeds addressable range")
         p = _float_param(params, "p", spec)
         _no_leftovers(params, spec)
-        edges = _dag_edges(n, p, rng)
-        graph = CsrGraph.from_edges(n, edges)
+        graph = _dag_graph(n, p, rng)
         if name == "closuredag":
             return GraphInstance("digraph", graph, source=0, spec=spec)
-        durations = [rng.uniform(1, 80) for _ in range(n)]
+        durations = (rng.draws(n) % np.uint64(80) + np.uint64(1)).tolist()
         return DagInstance("dag", graph, durations, spec=spec)
 
     if name == "sm":
@@ -333,7 +356,7 @@ def generate(spec: str, seed: int):
     if name == "reduce":
         n = _int_param(params, "n", spec)
         _no_leftovers(params, spec)
-        values = [rng.below(2**32) for _ in range(n)]
+        values = (rng.draws(n) % np.uint64(2**32)).tolist()
         return ValuesInstance("reduce", values, spec=spec)
 
     raise ParseError(f"unknown instance kind {name!r}")
@@ -371,7 +394,8 @@ def load_graph(path: str, fmt: str = "edge-list", symmetrize: bool = False) -> C
             parts = line.split()
             if fmt == "dimacs-gr":
                 if parts[0] == "p":
-                    if len(parts) != 4 or parts[1] != "sp":
+                    if (len(parts) != 4 or parts[1] != "sp"
+                            or not (parts[2].isdecimal() and parts[3].isdecimal())):
                         raise FormatError("bad problem line, expected 'p sp n m'", lineno)
                     declared_n = int(parts[2])
                     continue
@@ -384,6 +408,7 @@ def load_graph(path: str, fmt: str = "edge-list", symmetrize: bool = False) -> C
                         raise FormatError("non-integer arc field", lineno) from None
                     if u < 0 or v < 0:
                         raise FormatError("vertex ids are 1-indexed", lineno)
+                    _check_weight(w, lineno)
                     edges.append((u, v, w))
                     max_index = max(max_index, u, v)
                     continue
@@ -398,6 +423,7 @@ def load_graph(path: str, fmt: str = "edge-list", symmetrize: bool = False) -> C
                 raise FormatError("non-integer field", lineno) from None
             if u < 0 or v < 0:
                 raise FormatError("negative vertex id", lineno)
+            _check_weight(w, lineno)
             edges.append((u, v, w))
             max_index = max(max_index, u, v)
     n = declared_n if declared_n is not None else max_index + 1
@@ -405,6 +431,11 @@ def load_graph(path: str, fmt: str = "edge-list", symmetrize: bool = False) -> C
         raise FormatError(f"vertex id {max_index} exceeds declared count {n}", 0)
     graph = CsrGraph.from_edges(n, edges)
     return graph.symmetrized() if symmetrize else graph
+
+
+def _check_weight(w: int, lineno: int) -> None:
+    if not 0 <= w < 2**64:
+        raise FormatError(f"weight {w} outside [0, 2**64)", lineno)
 
 
 _SER_VERSION = 1

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from llp.bench import fnv1a_64
 from llp.instances import (
     CsrGraph,
+    DagInstance,
     FormatError,
+    GraphInstance,
     ParseError,
+    PrefsInstance,
     SplitMix64,
+    ValuesInstance,
     example_graph,
     generate,
     instance_bytes,
@@ -38,6 +42,79 @@ def test_splitmix64_zero_seed_is_well_defined():
 @settings(max_examples=200, deadline=None)
 def test_splitmix64_below_stays_in_range(seed, n):
     assert SplitMix64(seed).below(n) < n
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 1000])
+def test_draws_match_successive_next_u64(seed, count):
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    expected = [scalar.next_u64() for _ in range(count)]
+    got = block.draws(count)
+    assert got.dtype == np.uint64
+    assert got.tolist() == expected
+    assert block._state == scalar._state
+    assert block.next_u64() == scalar.next_u64()
+
+
+def _scalar_reference(spec, seed):
+    """The generators as they were before block draws: one ``next_u64`` per draw."""
+    name, _, body = spec.partition(":")
+    params = dict(part.split("=") for part in body.split(","))
+    n = int(params["n"])
+    rng = SplitMix64(seed)
+    if name == "randgraph":
+        edges = []
+        for _ in range(int(params["m"])):
+            u = rng.below(n)
+            v = rng.below(n)
+            if u == v:
+                v = (v + 1) % n
+            w = rng.uniform(1, int(params.get("wmax", 100)))
+            edges.append((u, v, w))
+        return GraphInstance("graph", CsrGraph.from_edges(n, edges).symmetrized(), spec=spec)
+    if name in ("dag", "closuredag"):
+        p = float(params["p"])
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.chance(p):
+                    edges.append((i, j, 1))
+        graph = CsrGraph.from_edges(n, edges)
+        if name == "closuredag":
+            return GraphInstance("digraph", graph, spec=spec)
+        return DagInstance("dag", graph, [rng.uniform(1, 80) for _ in range(n)], spec=spec)
+    if name == "sm":
+        def shuffled():
+            xs = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = rng.below(i + 1)
+                xs[i], xs[j] = xs[j], xs[i]
+            return xs
+
+        mprefs = [shuffled() for _ in range(n)]
+        wprefs = [shuffled() for _ in range(n)]
+        return PrefsInstance("sm", mprefs, wprefs, spec=spec)
+    assert name == "reduce"
+    return ValuesInstance("reduce", [rng.below(2**32) for _ in range(n)], spec=spec)
+
+
+@pytest.mark.parametrize("seed", [1, 2**64 - 1])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "randgraph:n=1,m=3",
+        "randgraph:n=2,m=50,wmax=1",
+        "randgraph:n=8000,m=32000",
+        "dag:n=40,p=0",
+        "dag:n=40,p=1",
+        "closuredag:n=60,p=0.1",
+        "sm:n=1",
+        "sm:n=30",
+        "reduce:n=1000",
+    ],
+)
+def test_block_draws_give_the_scalar_generators_bytes(spec, seed):
+    assert instance_bytes(generate(spec, seed)) == instance_bytes(_scalar_reference(spec, seed))
 
 
 def test_shuffle_is_a_permutation():
@@ -166,6 +243,14 @@ def test_csr_views_keep_row_order(n, edges, arcs, reversed_arcs, successors, in_
     assert np.array_equal(sym.offsets, both.offsets)
 
 
+def test_list_views_share_one_int_per_vertex():
+    g = CsrGraph.from_edges(1000, [(0, 999, 1), (1, 999, 2), (2, 998, 3)])
+    succ, adj = g.successor_lists(), g.adjacency_lists()
+    assert succ[0][0] == 999
+    assert succ[0][0] is succ[1][0]
+    assert adj[0][0][0] is adj[1][0][0]
+
+
 def test_csr_rejects_inconsistent_offsets():
     with pytest.raises(ValueError):
         CsrGraph(2, [0, 1], [0], [1])  # offsets too short
@@ -228,6 +313,31 @@ def test_malformed_arc_line_reports_line_number(tmp_path):
     with pytest.raises(FormatError) as err:
         load_graph(str(path), "dimacs-gr")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "name,fmt,text,line",
+    [
+        ("bad-count.gr", "dimacs-gr", "p sp x 3\n", 1),
+        ("negative-weight.gr", "dimacs-gr", "p sp 2 1\na 1 2 -4\n", 2),
+        ("negative-weight.txt", "edge-list", "0 1 2\n0 1 -4\n", 2),
+        ("huge-weight.txt", "edge-list", "# w >= 2**64\n0 1 99999999999999999999999\n", 2),
+    ],
+    ids=["non-integer-vertex-count", "dimacs-negative-weight", "edge-list-negative-weight",
+         "edge-list-weight-beyond-u64"],
+)
+def test_malformed_numbers_report_line_number(tmp_path, name, fmt, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        load_graph(str(path), fmt)
+    assert err.value.line == line
+
+
+def test_largest_u64_weight_loads(tmp_path):
+    path = tmp_path / "max-weight.txt"
+    path.write_text(f"0 1 {2**64 - 1}\n")
+    assert load_graph(str(path), "edge-list").arcs() == [(0, 1, 2**64 - 1)]
 
 
 def test_missing_file_raises_io_error():
