@@ -287,16 +287,20 @@ class Stats:
     contention (relaxed consistency); they are exact in single-thread
     runs, which is where the work-count assertions live.  ``passes``
     counts the passes of a scanning strategy (``cyclic``, ``allpar``) and
-    stays 0 for the popping ones.
+    stays 0 for the popping ones.  ``stale_drops`` counts popped items
+    that ``Problem.is_stale`` discarded unchecked, so a popping solve of
+    an adapter that does not memoize makes ``predicate_evals +
+    stale_drops`` pops.
     """
 
-    __slots__ = ("predicate_evals", "advances", "failed_replaces", "passes")
+    __slots__ = ("predicate_evals", "advances", "failed_replaces", "passes", "stale_drops")
 
     def __init__(self):
         self.predicate_evals = 0
         self.advances = 0
         self.failed_replaces = 0
         self.passes = 0
+        self.stale_drops = 0
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -309,7 +313,8 @@ class GlobalState:
     has one flag per *work index* (which may differ from the coordinate
     count when a work index spans several cells, as in the closure and
     knapsack adapters).  ``extra`` is problem-owned auxiliary state; by
-    convention it maps names to further :class:`AtomicU64Array` objects.
+    convention it maps names to further :class:`AtomicU64Array` objects,
+    or to plain lists for hints that tolerate racy writes.
     """
 
     __slots__ = ("values", "fixed", "extra", "stats")
@@ -339,7 +344,16 @@ class Problem:
     space, and the four operations below.  ``is_forbidden`` must be a
     pure read of the state; ``advance`` may only move coordinates
     forward in lattice order and may push follow-up work items (tuples
-    of ``(index, priority)``; priority is advisory only).
+    of ``(index, priority)``).  A priority only orders the pops, unless
+    the adapter also supplies ``is_stale``:
+
+    - ``is_stale(state, item) -> bool`` lets a popping worker drop a
+      popped item unchecked.  It must return True only when every
+      forbidden state of the item's index is covered by some other item,
+      already pushed or yet to be pushed; ``ShortestPaths`` drops
+      ``(x, c)`` once d(x) <= c, since its pushes carry their candidate
+      as the key.  A dropped item counts as done and adds one to
+      ``stats.stale_drops`` instead of ``predicate_evals``.
 
     An adapter whose state is one cell per index may also supply two
     vector operations over a uint64 numpy copy ``values`` of the cells:
@@ -378,6 +392,8 @@ class Problem:
     forbidden_batch = None
     #: Optional vector step (see above); None keeps ``allpar`` on ``ensure``.
     ensure_batch = None
+    #: Optional stale rule for popped items (see above); None checks every pop.
+    is_stale = None
 
     size: int
 

@@ -127,8 +127,14 @@ class CsrGraph:
 
     @staticmethod
     def _from_arcs(num_vertices: int, sources, targets, weights) -> "CsrGraph":
-        """Build from parallel arc arrays, stably sorted by source."""
-        order = np.argsort(sources, kind="stable")
+        """Build from parallel arc arrays, stably sorted by source.
+
+        Up to 65536 vertices the sort runs on a uint16 copy of the
+        sources, which numpy sorts stably by radix: the same permutation
+        as the int64 sort, several times faster.
+        """
+        keys = sources.astype(np.uint16) if num_vertices <= 65536 else sources
+        order = np.argsort(keys, kind="stable")
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(np.bincount(sources, minlength=num_vertices), out=offsets[1:])
         return CsrGraph(num_vertices, offsets, targets[order], weights[order])
@@ -385,7 +391,7 @@ def load_graph(path: str, fmt: str = "edge-list", symmetrize: bool = False) -> C
         raise ValueError(f"unknown graph format {fmt!r}")
     edges: List[Tuple[int, int, int]] = []
     declared_n: Optional[int] = None
-    max_index = -1
+    max_index = max_line = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -399,36 +405,36 @@ def load_graph(path: str, fmt: str = "edge-list", symmetrize: bool = False) -> C
                         raise FormatError("bad problem line, expected 'p sp n m'", lineno)
                     declared_n = int(parts[2])
                     continue
-                if parts[0] == "a":
-                    if len(parts) != 4:
-                        raise FormatError("bad arc line, expected 'a u v w'", lineno)
-                    try:
-                        u, v, w = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])
-                    except ValueError:
-                        raise FormatError("non-integer arc field", lineno) from None
-                    if u < 0 or v < 0:
-                        raise FormatError("vertex ids are 1-indexed", lineno)
-                    _check_weight(w, lineno)
-                    edges.append((u, v, w))
-                    max_index = max(max_index, u, v)
-                    continue
-                raise FormatError(f"unknown record {parts[0]!r}", lineno)
-            # edge-list
-            if len(parts) not in (2, 3):
-                raise FormatError("expected 'u v [w]'", lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = int(parts[2]) if len(parts) == 3 else 1
-            except ValueError:
-                raise FormatError("non-integer field", lineno) from None
-            if u < 0 or v < 0:
-                raise FormatError("negative vertex id", lineno)
+                if parts[0] != "a":
+                    raise FormatError(f"unknown record {parts[0]!r}", lineno)
+                if len(parts) != 4:
+                    raise FormatError("bad arc line, expected 'a u v w'", lineno)
+                try:
+                    u, v, w = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])
+                except ValueError:
+                    raise FormatError("non-integer arc field", lineno) from None
+                if u < 0 or v < 0:
+                    raise FormatError("vertex ids are 1-indexed", lineno)
+            else:
+                if len(parts) not in (2, 3):
+                    raise FormatError("expected 'u v [w]'", lineno)
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                    w = int(parts[2]) if len(parts) == 3 else 1
+                except ValueError:
+                    raise FormatError("non-integer field", lineno) from None
+                if u < 0 or v < 0:
+                    raise FormatError("negative vertex id", lineno)
+            top = max(u, v)
+            if top >= 2**63:
+                raise FormatError(f"vertex id {top} outside int64", lineno)
             _check_weight(w, lineno)
             edges.append((u, v, w))
-            max_index = max(max_index, u, v)
+            if top > max_index:
+                max_index, max_line = top, lineno
     n = declared_n if declared_n is not None else max_index + 1
     if max_index >= n:
-        raise FormatError(f"vertex id {max_index} exceeds declared count {n}", 0)
+        raise FormatError(f"vertex id {max_index} exceeds declared count {n}", max_line)
     graph = CsrGraph.from_edges(n, edges)
     return graph.symmetrized() if symmetrize else graph
 

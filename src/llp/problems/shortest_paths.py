@@ -23,16 +23,27 @@ class ShortestPaths(Problem):
 
     A vertex v (other than the source) is forbidden when some in-edge
     (u, v) offers d(u) + w < d(v).  Advancing writes the best in-edge
-    candidate through a monotone min and enqueues only the out-neighbours
-    x that the fresh distance improves, d(v) + w < d(x), each keyed by
-    that candidate d(v) + w, as in delta-stepping.  Skipping the others
-    is sound because cells only fall: an edge that does not improve x now
-    cannot until d(v) falls again, and that fall pushes x again.
+    candidate through a monotone min and pushes an out-neighbour x only
+    when the candidate c = d(v) + w is below ``offered[x]``, keyed by c,
+    as in delta-stepping.  ``offered`` (a plain list in ``state.extra``,
+    copied from the cells at the first lowering of a solve) is Dijkstra's
+    tentative distance: each value written to ``offered[x]`` is a key its
+    writer then pushes for x, or a value d(x) held.  So skipping
+    c >= offered[x] is sound: either d(x) already reached offered[x], or
+    an item (x, k), k <= c, was pushed, and checking it leaves d(x) <= k,
+    because the in-neighbour that offered k still offers it (cells only
+    fall).  Racing writes may leave ``offered[x]`` above the least key
+    pushed, which only lets a needless push through.  An edge skipped now
+    cannot improve x until d(v) falls again, and that fall offers x again.
+
+    Every push is keyed by its candidate, so a popped ``(x, c)`` with
+    d(x) <= c is stale and ``is_stale`` drops it unchecked, as Dijkstra's
+    lazy deletion does.
 
     ``forbidden_batch`` is the same check for many vertices at once, over
     numpy gathers of the CSR arcs, with each forbidden vertex's best
     candidate as its witness.  ``ensure_batch`` writes those candidates
-    and wakes the out-neighbours that the push rule would push.
+    and wakes the out-neighbours x with d(v) + w < d(x).
     """
 
     lattice = "min"
@@ -57,9 +68,25 @@ class ShortestPaths(Problem):
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((v, 0) for v, _w in self._out[self.source])
 
-    def _push_improved(self, cells: list, v: int, d: int, worklist) -> None:
-        # No saturating add: a sum at or above INF never beats a cell.
-        items = [(x, c) for x, w in self._out[v] if (c := d + w) < cells[x]]
+    def is_stale(self, state: GlobalState, item) -> bool:
+        # Sound: if x is forbidden through its in-neighbour u, then some item
+        # (x, k) with k <= d(u) + w is pushed.  u's last lowering pushed its
+        # own candidate, or found offered[x] <= d(u) + w, a value that d(x)
+        # cannot have set (it is above d(u) + w), so its writer pushes that
+        # key.  For u the source, the seed pushed (x, 0).  That key is below
+        # d(x), and cells only fall, so the item is not stale while u makes
+        # x forbidden, and it is checked.  An item with d(x) <= c stays
+        # stale for good, and dropping it loses no check that x still needs.
+        return state.values.cells()[item[0]] <= item[1]
+
+    def _push_improved(self, offered: list, v: int, d: int, worklist) -> None:
+        # No saturating add: a sum at or above INF never beats an offer.
+        items = []
+        for x, w in self._out[v]:
+            c = d + w
+            if c < offered[x]:
+                offered[x] = c
+                items.append((x, c))
         if items:
             worklist.push_all(items)
 
@@ -80,7 +107,14 @@ class ShortestPaths(Problem):
         """
         if not state.values.monotone_min(v, d).updated:
             return False
-        self._push_improved(state.values.cells(), v, d, worklist)
+        offered = state.extra.get("offered")
+        if offered is None:
+            # First lowering of the solve.  Threads racing here may each start
+            # a list; a write to the one that loses only goes unused.
+            offered = state.extra["offered"] = state.values.snapshot()
+        if d < offered[v]:
+            offered[v] = d
+        self._push_improved(offered, v, d, worklist)
         return True
 
     def is_forbidden(self, state: GlobalState, v: int) -> bool:
@@ -140,8 +174,8 @@ class ShortestPaths(Problem):
         stats.failed_replaces += len(v) - advanced
         v, best = v[changed], best[changed]
         d[v] = best
-        # Wake the out-neighbours x with d(v) + w < d(x), the push rule;
-        # d(x) is never below the cell, so a stale one only wakes more.
+        # Wake the out-neighbours x with d(v) + w < d(x); d(x) is never
+        # below the cell, so a stale one only wakes more.
         arcs, counts = _row_arcs(self.graph.offsets, v)
         w = self._arc_weights(self.graph, arcs)
         x = self.graph.targets[arcs]
@@ -158,7 +192,7 @@ class BreadthFirstLevels(ShortestPaths):
     below it.  The check, the advance, ``ensure`` and the vector
     operations are those of :class:`ShortestPaths` with every weight
     one: lowering v to level d pushes only the out-neighbours x with
-    d + 1 < d(x), each keyed by its candidate level d + 1.
+    d + 1 < offered[x], each keyed by its candidate level d + 1.
     """
 
     _adjacency = staticmethod(CsrGraph.successor_lists)
@@ -166,9 +200,13 @@ class BreadthFirstLevels(ShortestPaths):
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((v, 0) for v in self._out[self.source])
 
-    def _push_improved(self, cells: list, v: int, d: int, worklist) -> None:
+    def _push_improved(self, offered: list, v: int, d: int, worklist) -> None:
         cand = d + 1
-        items = [(x, cand) for x in self._out[v] if cand < cells[x]]
+        items = []
+        for x in self._out[v]:
+            if cand < offered[x]:
+                offered[x] = cand
+                items.append((x, cand))
         if items:
             worklist.push_all(items)
 

@@ -152,26 +152,43 @@ def _run_workers(threads: int, work, abort) -> None:
 
 
 def _pool_worker(problem, state, worklist, slot, stop):
+    """Pop and ensure items until the worklist is quiescent or ``stop`` is set.
+
+    The worker reports its finished items as one count each time its pop
+    comes back empty, before it asks whether the worklist is quiescent,
+    and once more on its way out (see ``QuiescenceToken``).  An item the
+    adapter's ``is_stale`` rejects is finished without a check.
+    """
     worklist.bind(slot)
     memoizes = problem.memoizes
     fixed = state.fixed
     ensure = problem.ensure
+    is_stale = problem.is_stale
+    stats = state.stats
     pop = worklist.pop
-    done = worklist.task_done
-    while not stop.is_set():
-        item = pop()
-        if item is None:
-            if worklist.quiescent():
-                return
-            time.sleep(0)
-            continue
-        index = item[0]
-        try:
+    finished = 0
+    try:
+        while not stop.is_set():
+            item = pop()
+            if item is None:
+                if finished:
+                    worklist.task_done_many(finished)
+                    finished = 0
+                if worklist.quiescent():
+                    return
+                time.sleep(0)
+                continue
+            finished += 1
+            if is_stale is not None and is_stale(state, item):
+                stats.stale_drops += 1
+                continue
+            index = item[0]
             if memoizes and fixed.is_fixed(index):
                 continue
             ensure(state, index, worklist)
-        finally:
-            done()
+    finally:
+        if finished:
+            worklist.task_done_many(finished)
 
 
 def _run_pool(problem: Problem, state: GlobalState, worklist: Worklist, threads: int) -> None:

@@ -1,20 +1,26 @@
 """Scheduling policies behind one push/pop contract.
 
-A work item is a ``(index, priority)`` tuple.  Priority is an advisory
-scheduling hint; correctness never depends on it, because staleness is
-filtered at pop time by re-checking forbiddenness.  Duplicates are
-therefore permitted everywhere.
+A work item is a ``(index, priority)`` tuple, and priority orders the
+pops.  By default a worker re-checks the forbiddenness of every index it
+pops, so a priority that lies costs work, never correctness, and
+duplicates are permitted everywhere.  An adapter with
+``Problem.is_stale`` goes further: its pushes carry their candidate
+value as the key, and a popped item whose index has already reached
+that value is dropped unchecked (Dijkstra's lazy deletion).  Its
+correctness then rests on that stale rule, whose soundness argument
+lives with the adapter.
 
 The multi-consumer policies share one base, :class:`CountedWorklist`.
 It carries a :class:`QuiescenceToken` so workers can distinguish
 "momentarily empty" from "globally done": a worker may only exit after
 observing zero outstanding items, that is, every pushed item has been
-popped and its ``task_done`` called.  The base also maps each bound
-thread to its worker slot, and reduces a single push to a batch of one,
-so each policy writes only how it stores a batch and how it pops.
+popped and reported finished through ``task_done`` or
+``task_done_many``.  The base also maps each bound thread to its worker
+slot, and reduces a single push to a batch of one, so each policy
+writes only how it stores a batch and how it pops.
 
 Pushes and pops on :class:`collections.deque` are GIL-atomic, so the
-deque-based queues never block; pushes and ``task_done`` take the
+deque-based queues never block; pushes and finish reports take the
 token's short lock (and an unbound push into a chunk pool one more), and
 their pops take no lock.  :class:`PerThreadBag` keeps priority bins,
 which are not atomic, so its pushes and pops also hold the lock of the
@@ -36,10 +42,14 @@ WorkItem = Tuple[int, int]
 class QuiescenceToken:
     """Counts items pushed whose processing has not finished.
 
-    ``outstanding`` rises on every push and falls in ``task_done``; a pop
-    leaves it alone.  A worker pushes an item's children before it calls
-    ``task_done`` for the item, so the count cannot touch zero while any
-    work remains, and reading zero once is enough to terminate.
+    ``outstanding`` rises on every push and falls when a worker reports
+    items finished; a pop leaves it alone.  A worker pushes an item's
+    children before it reports the item, so the count cannot touch zero
+    while any work remains, and reading zero once is enough to terminate.
+    A worker may hold its reports back and send them as one count when
+    its pop comes back empty: deferring a report only keeps
+    ``outstanding`` high, so it can delay an exit but never allow an
+    early one.
     """
 
     __slots__ = ("_lock", "outstanding")
@@ -52,9 +62,9 @@ class QuiescenceToken:
         with self._lock:
             self.outstanding += count
 
-    def note_done(self) -> None:
+    def note_done(self, count: int = 1) -> None:
         with self._lock:
-            self.outstanding -= 1
+            self.outstanding -= count
 
     def quiesce(self) -> bool:
         return self.outstanding == 0
@@ -78,6 +88,11 @@ class Worklist:
 
     def task_done(self) -> None:
         """Called by the worker after processing a popped item."""
+
+    def task_done_many(self, count: int) -> None:
+        """Report ``count`` popped items processed, as ``count`` ``task_done`` calls."""
+        for _ in range(count):
+            self.task_done()
 
     def quiescent(self) -> bool:
         """True when it is sound for a worker seeing an empty pop to exit."""
@@ -118,12 +133,17 @@ class SeqBag(Worklist):
         self._keys = []
 
     def push(self, item: WorkItem) -> None:
-        bin_ = self._bins.get(item[1])
-        if bin_ is None:
-            self._bins[item[1]] = [item]
-            heapq.heappush(self._keys, item[1])
-        else:
-            bin_.append(item)
+        self.push_all((item,))
+
+    def push_all(self, items: Iterable[WorkItem]) -> None:
+        bins = self._bins
+        for item in items:
+            bin_ = bins.get(item[1])
+            if bin_ is None:
+                bins[item[1]] = [item]
+                heapq.heappush(self._keys, item[1])
+            else:
+                bin_.append(item)
 
     def pop(self) -> Optional[WorkItem]:
         keys = self._keys
@@ -167,22 +187,22 @@ class CountedWorklist(Worklist):
 
     ``push_all`` counts a batch on the :class:`QuiescenceToken` before
     handing it to the policy's ``_put``, and ``push`` is a batch of one.
-    ``bind`` maps the calling thread to its worker slot, which ``_slot``
-    reads back.
+    ``bind`` keeps the calling thread's worker slot in a thread-local,
+    which ``_slot`` reads back.
     """
 
     multi_consumer = True
 
     def __init__(self):
         self.token = QuiescenceToken()
-        self._slots = {}
+        self._local = threading.local()
 
     def bind(self, slot: int) -> None:
-        self._slots[threading.get_ident()] = slot
+        self._local.slot = slot
 
     def _slot(self, default: Optional[int] = None) -> Optional[int]:
         """The caller's worker slot, or ``default`` if it is unbound."""
-        return self._slots.get(threading.get_ident(), default)
+        return getattr(self._local, "slot", default)
 
     def push(self, item: WorkItem) -> None:
         self.push_all((item,))
@@ -199,6 +219,9 @@ class CountedWorklist(Worklist):
 
     def task_done(self) -> None:
         self.token.note_done()
+
+    def task_done_many(self, count: int) -> None:
+        self.token.note_done(count)
 
     def quiescent(self) -> bool:
         return self.token.quiesce()
@@ -234,7 +257,7 @@ class PerThreadBag(CountedWorklist):
     lowest-priority item.
 
     Locking: a push or pop, by owner or thief, holds the lock of the one
-    bin set it changes.  Pushes and ``task_done`` also take the
+    bin set it changes.  Pushes and finish reports also take the
     quiescence token's lock, never while holding a bin set's.  To choose
     where to pop and to skip empty bin sets, a pop reads lowest
     priorities without any lock; a concurrent pop may empty a bin set
@@ -251,10 +274,6 @@ class PerThreadBag(CountedWorklist):
         self._bins = [SeqBag() for _ in range(workers + 1)]
         self._locks = [threading.Lock() for _ in range(workers + 1)]
 
-    def _own(self) -> int:
-        """The caller's bin set: its worker slot, or the injector if unbound."""
-        return self._slot(len(self._bins) - 1)
-
     def _take(self, i: int) -> Optional[WorkItem]:
         bag = self._bins[i]
         if not bag._keys:
@@ -263,17 +282,20 @@ class PerThreadBag(CountedWorklist):
             return bag.pop()
 
     def _put(self, batch: list) -> None:
-        i = self._own()
+        i = self._slot(len(self._bins) - 1)  # unbound callers use the injector
         with self._locks[i]:
             self._bins[i].push_all(batch)
 
     def pop(self) -> Optional[WorkItem]:
-        own = self._own()
-        injector = len(self._bins) - 1
-        first, second = own, injector
-        if _lowest(self._bins[injector]) < _lowest(self._bins[own]):
-            first, second = injector, own
-        item = self._take(first) or self._take(second)
+        bins = self._bins
+        injector = len(bins) - 1
+        own = getattr(self._local, "slot", injector)
+        # The injector is empty once the seeds are taken: skip the
+        # comparison then.
+        if bins[injector]._keys and _lowest(bins[injector]) < _lowest(bins[own]):
+            item = self._take(injector) or self._take(own)
+        else:
+            item = self._take(own) or self._take(injector)
         if item is not None:
             return item
         for victim in range(injector):

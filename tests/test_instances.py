@@ -216,6 +216,18 @@ def test_csr_round_trip_keeps_edge_multiset():
     assert sorted(g.reversed().arcs()) == sorted((v, u, w) for u, v, w in edges)
 
 
+@pytest.mark.parametrize("n", [65536, 65537])
+def test_csr_sort_matches_the_int64_stable_sort(n):
+    # Up to 65536 vertices the sources are sorted as uint16, above as int64;
+    # both must give the int64 stable permutation, ties in input order.
+    sources = (SplitMix64(n).draws(200_000) % np.uint64(n)).astype(np.int64)
+    sources[:2] = n - 1, 0
+    arcs = np.arange(len(sources), dtype=np.int64)
+    g = CsrGraph._from_arcs(n, sources, arcs, arcs.astype(np.uint64))
+    assert np.array_equal(g.targets, np.argsort(sources, kind="stable"))
+    assert np.array_equal(g.offsets[1:], np.cumsum(np.bincount(sources, minlength=n)))
+
+
 @pytest.mark.parametrize(
     "n,edges,arcs,reversed_arcs,successors,in_degrees",
     [
@@ -322,9 +334,13 @@ def test_malformed_arc_line_reports_line_number(tmp_path):
         ("negative-weight.gr", "dimacs-gr", "p sp 2 1\na 1 2 -4\n", 2),
         ("negative-weight.txt", "edge-list", "0 1 2\n0 1 -4\n", 2),
         ("huge-weight.txt", "edge-list", "# w >= 2**64\n0 1 99999999999999999999999\n", 2),
+        ("huge-vertex.txt", "edge-list", "0 1\n0 99999999999999999999999 1\n", 2),
+        ("huge-vertex.gr", "dimacs-gr", f"p sp 2 1\na {2**63 + 1} 1 1\n", 2),
+        ("past-count.gr", "dimacs-gr", "p sp 3 3\na 1 2 1\na 2 4 1\na 3 1 1\n", 3),
     ],
     ids=["non-integer-vertex-count", "dimacs-negative-weight", "edge-list-negative-weight",
-         "edge-list-weight-beyond-u64"],
+         "edge-list-weight-beyond-u64", "edge-list-vertex-beyond-int64",
+         "dimacs-vertex-beyond-int64", "dimacs-vertex-past-declared-count"],
 )
 def test_malformed_numbers_report_line_number(tmp_path, name, fmt, text, line):
     path = tmp_path / name

@@ -20,7 +20,7 @@ from llp.solvers import (
     scan_for_forbidden,
     solve,
 )
-from llp.worklists import RandomOrderBag
+from llp.worklists import RandomOrderBag, SeqBag
 
 EXPECTED_EXAMPLE = np.array([0, 2, 5, 3], dtype=np.uint64)
 
@@ -240,6 +240,19 @@ WORK_GUARD_SPEC = "randgraph:n=1500,m=6000,wmax=100"
     ("sssp", "ptwb", "advances", 1.05),
     ("sssp", "buckets", "advances", 1.05),
     ("sssp", "bag", "advances", 1.05),
+    ("sssp", "bag", "predicate_evals", 1.05),
+    ("sssp", "ptwb", "predicate_evals", 1.05),
+    ("sssp", "buckets", "predicate_evals", 1.05),
+    ("sssp", "swb", "predicate_evals", 2.1),
+    ("sssp", "ptcf", "predicate_evals", 2.1),
+    ("bfs", "bag", "predicate_evals", 1.05),
+    ("bfs", "swb", "predicate_evals", 1.05),
+    ("bfs", "ptcf", "predicate_evals", 1.05),
+    ("bfs", "ptwb", "predicate_evals", 1.05),
+    ("bfs", "buckets", "predicate_evals", 1.05),
+    ("sssp", "bag", "stale_drops", 1.0),
+    ("sssp", "ptwb", "stale_drops", 1.0),
+    ("bfs", "ptwb", "stale_drops", 0.05),
     ("bfs", "swb", "predicate_evals", 5),
     ("bfs", "ptcf", "predicate_evals", 5),
     ("bfs", "buckets", "predicate_evals", 5),
@@ -262,11 +275,60 @@ def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
     # evaluations per vertex.  allpar's vector step checks only the
     # changed frontier: scanning all vertices per pass instead costs 5.0
     # BFS evaluations and 1.39 advances, and 9.0 SSSP evaluations, per
-    # vertex.
+    # vertex.  Checking every popped item instead of dropping the stale
+    # ones by their key costs 4.00 evaluations per vertex on SSSP bag,
+    # ptwb and buckets and on every popping BFS strategy, and 6.42 on
+    # SSSP swb and ptcf.  Pushing x whenever the candidate beats d(x),
+    # instead of only below the least candidate already offered to x,
+    # costs 3.00 stale drops per vertex on SSSP and BFS bag and ptwb.
     inst = generate(WORK_GUARD_SPEC, 1)
     result = run_solver(adapter_for(problem, inst), SolverConfig(strategy=strategy, threads=1))
     count = getattr(result.stats, counter)
     assert count <= per_vertex * inst.graph.num_vertices, count
+
+
+class _PopCountingBag(SeqBag):
+    """A ``SeqBag`` that counts the items it hands out in ``pops``."""
+
+    pops = 0
+
+    def pop(self):
+        item = super().pop()
+        if item is not None:
+            self.pops += 1
+        return item
+
+
+@pytest.mark.parametrize("problem", ["sssp", "bfs"])
+def test_every_pop_is_checked_or_dropped_stale(problem):
+    bag = _PopCountingBag()
+    result = run_solver(adapter_for(problem, generate(WORK_GUARD_SPEC, 1)),
+                        SolverConfig(strategy="bag"), worklist=bag)
+    stats = result.stats
+    assert bag.pops == stats.predicate_evals + stats.stale_drops
+    # BFS in level order offers each vertex its final level first, so
+    # nothing it pushes goes stale at one thread.
+    assert stats.stale_drops > 0 if problem == "sssp" else stats.stale_drops == 0
+
+
+class _KeyBlindStalePaths(ShortestPaths):
+    """Negative control: drops every item of a reached vertex, whatever its key."""
+
+    def is_stale(self, state, item):
+        return state.values.cells()[item[0]] < INF
+
+
+@pytest.mark.parametrize("strategy", ["swb", "ptcf"])
+def test_a_stale_rule_that_ignores_the_key_is_caught(strategy):
+    # FIFO pops reach a vertex before its final distance, so the blind rule
+    # drops the pushes that would lower it again; the post-solve scan
+    # reports the vertex.  The keyed rule solves the same instance.
+    inst = generate(WORK_GUARD_SPEC, 1)
+    config = SolverConfig(strategy=strategy)
+    want = run_solver(adapter_for("sssp", inst), SolverConfig(strategy="bag")).solution
+    assert np.array_equal(run_solver(adapter_for("sssp", inst), config).solution, want)
+    with pytest.raises(IncompleteSolveError):
+        run_solver(_KeyBlindStalePaths(inst.graph, inst.source), config)
 
 
 @pytest.mark.parametrize("strategy", ["bag", "swb", "ptwb", "ptcf", "buckets"])
@@ -366,6 +428,46 @@ def test_vector_step_survives_fast_thread_switching():
     assert errors == []
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class _Cascade(Problem):
+    """Node v of an implicit binary tree; setting it pushes its two children."""
+
+    lattice = "max"
+    size = 2048
+
+    def init_state(self, recorder=None):
+        return GlobalState([0] * self.size, recorder=recorder)
+
+    def push_initial(self, state, worklist):
+        worklist.push_all([(1, 0)])
+
+    def is_forbidden(self, state, v):
+        return v >= 1 and state.values.load(v) == 0
+
+    def advance(self, state, v, worklist):
+        if not state.values.monotone_max(v, 1).updated:
+            return False
+        if v < self.size // 2:
+            worklist.push_all([(2 * v, v), (2 * v + 1, v)])
+        return True
+
+    def final_solution(self, state):
+        return state.values.to_numpy()
+
+
+@pytest.mark.parametrize("strategy", ["swb", "ptwb", "ptcf", "buckets"])
+def test_deferred_finish_reports_never_end_a_drain_early(strategy):
+    # Workers report finished items only when their pop comes back empty.
+    # Under fast thread switching a report counted too soon would let every
+    # worker exit with nodes left, and the post-solve scan would fail.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_solver(_Cascade(), SolverConfig(strategy=strategy, threads=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.solution[1:].all()
 
 
 class _ExplodingProblem(Problem):

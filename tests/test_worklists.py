@@ -221,6 +221,30 @@ def test_quiescence_blocks_on_in_flight_item():
         assert wl.quiescent() is True
 
 
+@pytest.mark.parametrize("factory", [SharedBag, PerThreadBag, ChunkedFifo, BucketQueue])
+def test_task_done_many_reports_a_count_at_once(factory):
+    wl = factory()
+    wl.push_all([(0, 0), (1, 0), (2, 0)])
+    wl.seal_pending()
+    assert None not in [wl.pop() for _ in range(3)] and wl.pop() is None
+    wl.task_done_many(2)
+    assert wl.quiescent() is False and wl.token.outstanding == 1
+    wl.task_done_many(1)
+    assert wl.quiescent() is True
+
+
+def test_default_task_done_many_calls_task_done_per_item():
+    class CountingBag(SeqBag):
+        done = 0
+
+        def task_done(self):
+            self.done += 1
+
+    wl = CountingBag()
+    wl.task_done_many(5)
+    assert wl.done == 5
+
+
 def test_quiescence_blocks_on_pending_item():
     token = QuiescenceToken()
     token.note_push()
