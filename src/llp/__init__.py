@@ -19,7 +19,6 @@ from .core import (
     Problem,
     Stats,
     Update,
-    monotone_update,
     saturating_add,
 )
 from .instances import CsrGraph, SplitMix64, example_graph, generate, load_graph
@@ -44,7 +43,6 @@ __all__ = [
     "Problem",
     "Stats",
     "Update",
-    "monotone_update",
     "saturating_add",
     "CsrGraph",
     "SplitMix64",

@@ -4,8 +4,8 @@ A problem is solved by repeatedly finding *forbidden* coordinates of a
 shared solution vector and advancing them monotonically (downward for
 min-lattices such as shortest paths, upward for max-lattices such as
 scheduling) until no coordinate is forbidden.  Every solver and worklist
-policy in this package drives the same four-operation contract defined
-by :class:`Problem`.
+policy in this package drives the same contract, defined by
+:class:`Problem`: an adapter writes the check and the advancement.
 
 CPython's GIL makes single reads of a list slot atomic, so loads are
 plain indexing.  Read-modify-write operations (conditional replace,
@@ -211,17 +211,6 @@ class AtomicU64Array:
                     self._recorder(index, old, new)
             return old
 
-    def fetch_max(self, index: int, value: int) -> int:
-        """Raise the cell to at least ``value``; returns the prior value."""
-        cells = self._cells
-        with self._lock_for(index):
-            old = cells[index]
-            if value > old:
-                cells[index] = value
-                if self._recorder is not None:
-                    self._recorder(index, old, value)
-            return old
-
     def fetch_sub(self, index: int, amount: int) -> int:
         """Subtract ``amount``; returns the prior value.  Must not underflow."""
         cells = self._cells
@@ -229,20 +218,6 @@ class AtomicU64Array:
             old = cells[index]
             cells[index] = old - amount
             return old
-
-
-def monotone_update(cells: AtomicU64Array, index: int, candidate: int, order: str) -> Update:
-    """Conditionally replace a cell with ``candidate`` in lattice order.
-
-    ``order`` is ``"min"`` or ``"max"``.  The cell ends up holding
-    min/max(old, candidate) as of the linearization point; the result is
-    ``Update(True, old)`` exactly when the cell strictly improved.
-    """
-    if order == "min":
-        return cells.monotone_min(index, candidate)
-    if order == "max":
-        return cells.monotone_max(index, candidate)
-    raise ValueError(f"unknown lattice order: {order!r}")
 
 
 class FixedVector:
@@ -340,12 +315,21 @@ class GlobalState:
 class Problem:
     """Contract every solvable problem implements.
 
-    Subclasses fill in the lattice direction, the size of the work-index
-    space, and the four operations below.  ``is_forbidden`` must be a
-    pure read of the state; ``advance`` may only move coordinates
-    forward in lattice order and may push follow-up work items (tuples
-    of ``(index, priority)``).  A priority only orders the pops, unless
-    the adapter also supplies ``is_stale``:
+    Subclasses set the lattice direction and the work-index space
+    ``size``, and write ``init_state``, ``push_initial``,
+    ``final_solution`` and the method's only problem-specific code:
+
+    - ``witness(state, index)``, the check: a pure read that returns
+      None when ``index`` is not forbidden, else what the advancement
+      needs of what it read (a candidate value, or where it stopped).
+    - ``apply(state, index, witness, worklist) -> bool``, the
+      advancement: it moves coordinates only forward in lattice order,
+      may push follow-up items ``(index, priority)``, and returns False
+      when a concurrent writer got there first.
+
+    ``is_forbidden``, ``advance`` and ``ensure`` (one counted check, the
+    call solvers make per index) derive from those two.  A priority only
+    orders the pops, unless the adapter also supplies ``is_stale``:
 
     - ``is_stale(state, item) -> bool`` lets a popping worker drop a
       popped item unchecked.  It must return True only when every
@@ -362,7 +346,7 @@ class Problem:
       pure check of the int64 array ``indices``: ``forbidden`` holds the
       forbidden ones in input order, and ``witnesses[k]`` is the value
       an advance of ``forbidden[k]`` writes.  It agrees with
-      ``is_forbidden`` and counts nothing.  The post-solve scan then
+      ``witness`` and counts nothing.  The post-solve scan then
       runs it once over every index instead of ``is_forbidden``.
     - ``ensure_batch(state, indices, values) -> wake``, which ``allpar``
       runs in place of one ``ensure`` per index.  ``values`` is the
@@ -404,24 +388,39 @@ class Problem:
         """Push the work items that may be forbidden at the start."""
         raise NotImplementedError
 
+    def witness(self, state: GlobalState, index: int):
+        """What advancing ``index`` needs, or None when it is not forbidden.
+
+        The defaults of ``witness`` and ``apply`` serve only perfbench's
+        ``TracedProblem``, which wraps ``is_forbidden`` and ``advance``;
+        delete them once it wraps ``witness`` and ``apply``.
+        """
+        if type(self).is_forbidden is Problem.is_forbidden:
+            raise NotImplementedError(f"{type(self).__name__} defines no witness")
+        return True if self.is_forbidden(state, index) else None
+
+    def apply(self, state: GlobalState, index: int, witness, worklist) -> bool:
+        """Advance a forbidden ``index`` by its ``witness``; True iff this call made progress."""
+        if type(self).advance is Problem.advance:
+            raise NotImplementedError(f"{type(self).__name__} defines no apply")
+        return self.advance(state, index, worklist)
+
     def is_forbidden(self, state: GlobalState, index: int) -> bool:
-        raise NotImplementedError
+        return self.witness(state, index) is not None
 
     def advance(self, state: GlobalState, index: int, worklist) -> bool:
-        """Advance a forbidden index; True iff this call made progress."""
-        raise NotImplementedError
+        """Advance ``index`` if it is forbidden now; True iff this call made progress."""
+        witness = self.witness(state, index)
+        return witness is not None and self.apply(state, index, witness, worklist)
 
     def ensure(self, state: GlobalState, index: int, worklist) -> bool:
-        """Check ``index`` and advance it if forbidden.
-
-        Returns True iff the index was forbidden at check time.  The
-        default composition is is_forbidden followed by advance.
-        """
+        """Check ``index`` once, advance it if forbidden, count; True iff it was forbidden."""
         stats = state.stats
         stats.predicate_evals += 1
-        if not self.is_forbidden(state, index):
+        witness = self.witness(state, index)
+        if witness is None:
             return False
-        if self.advance(state, index, worklist):
+        if self.apply(state, index, witness, worklist):
             stats.advances += 1
         else:
             stats.failed_replaces += 1

@@ -48,30 +48,35 @@ class TransitiveClosure(Problem):
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((u, 0) for u in range(self.size) if self._succ[u])
 
-    def is_forbidden(self, state: GlobalState, u: int) -> bool:
+    def witness(self, state: GlobalState, u: int):
+        """``i * wpr + b`` for the first word b of successor i with bits row u lacks, or None."""
         cells = state.values.cells()
         wpr = self.words_per_row
         ubase = u * wpr
-        for w in self._succ[u]:
+        for i, w in enumerate(self._succ[u]):
             wbase = w * wpr
             for b in range(wpr):
                 if cells[wbase + b] & ~cells[ubase + b]:
-                    return True
-        return False
+                    return i * wpr + b
+        return None
 
-    def advance(self, state: GlobalState, u: int, worklist) -> bool:
+    def apply(self, state: GlobalState, u: int, stop: int, worklist) -> bool:
+        # Resume where the check stopped: the words before it held no bit
+        # that row u lacked, and a later change to them pushes u again.
         values = state.values
         cells = values.cells()
         wpr = self.words_per_row
         ubase = u * wpr
+        start = stop % wpr
         changed = False
-        for w in self._succ[u]:
+        for w in self._succ[u][stop // wpr :]:
             wbase = w * wpr
-            for b in range(wpr):
+            for b in range(start, wpr):
                 missing = cells[wbase + b] & ~cells[ubase + b]
                 if missing:
                     values.fetch_or(ubase + b, missing)
                     changed = True
+            start = 0
         if changed:
             # Rows with an arc into u may now lack u's new bits.
             worklist.push_all((x, 0) for x in self._pred[u])
@@ -88,25 +93,11 @@ class TransitiveClosure(Problem):
 def pack_reachability(matrix: np.ndarray) -> np.ndarray:
     """Pack an n-by-n boolean matrix into the adapter's word layout."""
     n = len(matrix)
-    wpr = max(1, (n + 63) // 64)
-    words = np.zeros(n * wpr, dtype=np.uint64)
-    for u in range(n):
-        acc = 0
-        for v in range(n):
-            if matrix[u][v]:
-                acc |= 1 << v
-        for b in range(wpr):
-            words[u * wpr + b] = (acc >> (64 * b)) & ((1 << 64) - 1)
-    return words
+    bits = np.zeros((n, max(1, (n + 63) // 64) * 64), dtype=bool)
+    bits[:, :n] = np.asarray(matrix, dtype=bool).reshape(n, n)
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64).ravel()
 
 
 def unpack_reachability(words, n: int) -> np.ndarray:
-    wpr = max(1, (n + 63) // 64)
-    out = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        acc = 0
-        for b in range(wpr):
-            acc |= int(words[u * wpr + b]) << (64 * b)
-        for v in range(n):
-            out[u, v] = (acc >> v) & 1
-    return out
+    rows = np.asarray(words, dtype="<u8").reshape(n, max(1, (n + 63) // 64)).view(np.uint8)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)

@@ -75,22 +75,25 @@ class Knapsack(Problem):
                 best = take
         return best
 
-    def is_forbidden(self, state: GlobalState, tile: int) -> bool:
+    def witness(self, state: GlobalState, tile: int):
+        """The first column of ``tile`` below its target, or None when there is none."""
         k, lo, hi = self._tile_span(tile)
         cells = state.values.cells()
         row = k * self.cols
         for c in range(lo, hi):
             if cells[row + c] < self._target(cells, k, c):
-                return True
-        return False
+                return c
+        return None
 
-    def advance(self, state: GlobalState, tile: int, worklist) -> bool:
-        k, lo, hi = self._tile_span(tile)
+    def apply(self, state: GlobalState, tile: int, first: int, worklist) -> bool:
+        # The columns before ``first`` met their targets when checked; a
+        # later rise of row k-1 pushes this tile again.
+        k, _lo, hi = self._tile_span(tile)
         values = state.values
         cells = values.cells()
         row = k * self.cols
         changed_cols = []
-        for c in range(lo, hi):
+        for c in range(first, hi):
             target = self._target(cells, k, c)
             if target > cells[row + c] and values.monotone_max(row + c, target).updated:
                 changed_cols.append(c)

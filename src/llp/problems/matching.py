@@ -29,15 +29,12 @@ class StableMatching(Problem):
         n = len(mprefs)
         if len(wprefs) != n:
             raise ValueError("unbalanced instance")
-        for lst in mprefs:
-            if len(lst) != n:
-                raise ValueError("preference lists must be complete")
+        if any(len(lst) != n for lst in (*mprefs, *wprefs)):
+            raise ValueError("preference lists must be complete")
         self.size = n
         self.mprefs = [list(lst) for lst in mprefs]
         self.wrank = [[0] * n for _ in range(n)]
         for w, lst in enumerate(wprefs):
-            if len(lst) != n:
-                raise ValueError("preference lists must be complete")
             for rank, m in enumerate(lst):
                 self.wrank[w][m] = rank
         self.bound = [n - 1] * n
@@ -48,27 +45,25 @@ class StableMatching(Problem):
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((m, 0) for m in range(self.size))
 
-    def _forbidden_at(self, state: GlobalState, m: int, index: int) -> bool:
-        """Is m, proposing at ``index``, beaten at that woman right now?
+    def witness(self, state: GlobalState, m: int):
+        """m's index, when the woman he proposes to there holds a better proposal.
 
         Once a woman holds a proposal she prefers to m, she holds one at
-        least that good forever, so a True answer stays true while m's
-        own index is unchanged.
+        least that good forever, so the verdict stays true while m's own
+        index is unchanged.
         """
         cells = state.values.cells()
+        index = cells[m]
         mprefs = self.mprefs
         woman = mprefs[m][index]
         ranks = self.wrank[woman]
         my_rank = ranks[m]
         for rival in range(self.size):
             if rival != m and mprefs[rival][cells[rival]] == woman and ranks[rival] < my_rank:
-                return True
-        return False
+                return index
+        return None
 
-    def is_forbidden(self, state: GlobalState, m: int) -> bool:
-        return self._forbidden_at(state, m, state.values.load(m))
-
-    def _advance_from(self, state: GlobalState, m: int, current: int, worklist) -> bool:
+    def apply(self, state: GlobalState, m: int, current: int, worklist) -> bool:
         """Bump m one step iff his index still equals ``current``.
 
         The conditional replace is what makes concurrent duplicate
@@ -91,28 +86,6 @@ class StableMatching(Problem):
             if mprefs[x][k] == woman:
                 affected.append((x, k))
         worklist.push_all(affected)
-        return True
-
-    def advance(self, state: GlobalState, m: int, worklist) -> bool:
-        # Standalone advance re-validates at the index it read: callers
-        # may hold a stale verdict from before a concurrent increment.
-        current = state.values.load(m)
-        if not self._forbidden_at(state, m, current):
-            return False
-        return self._advance_from(state, m, current, worklist)
-
-    def ensure(self, state: GlobalState, m: int, worklist) -> bool:
-        # Single-scan override: check and advance share one observation
-        # of m's index instead of scanning the competitors twice.
-        stats = state.stats
-        stats.predicate_evals += 1
-        current = state.values.load(m)
-        if not self._forbidden_at(state, m, current):
-            return False
-        if self._advance_from(state, m, current, worklist):
-            stats.advances += 1
-        else:
-            stats.failed_replaces += 1
         return True
 
     def final_solution(self, state: GlobalState) -> np.ndarray:

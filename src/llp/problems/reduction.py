@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import GlobalState, Problem, saturating_add
+from ..core import AtomicU64Array, GlobalState, Problem, saturating_add
 
 
 class TreeReduction(Problem):
@@ -40,8 +40,6 @@ class TreeReduction(Problem):
         return sum(1 for c in (2 * node + 1, 2 * node + 2) if c < first_leaf)
 
     def init_state(self, recorder=None) -> GlobalState:
-        from ..core import AtomicU64Array
-
         first_leaf = self._first_leaf
         values = [0] * self.size
         for i, v in enumerate(self._leaf_values):
@@ -59,16 +57,16 @@ class TreeReduction(Problem):
             (node, 0) for node in range(self._first_leaf) if pending.load(node) == 0
         )
 
-    def is_forbidden(self, state: GlobalState, node: int) -> bool:
+    def witness(self, state: GlobalState, node: int):
+        """The children's sum, once both have published and ``node`` has not combined."""
         if node >= self._first_leaf:
-            return False  # leaves are preloaded
-        if state.fixed.is_fixed(node):
-            return False
-        return state.extra["pending"].load(node) == 0
-
-    def advance(self, state: GlobalState, node: int, worklist) -> bool:
+            return None  # leaves are preloaded
+        if state.fixed.is_fixed(node) or state.extra["pending"].load(node) != 0:
+            return None
         load = state.values.load
-        total = saturating_add(load(2 * node + 1), load(2 * node + 2))
+        return saturating_add(load(2 * node + 1), load(2 * node + 2))
+
+    def apply(self, state: GlobalState, node: int, total: int, worklist) -> bool:
         state.values.monotone_max(node, total)
         if state.mark_fixed(node):
             if node != 0:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import GlobalState, MalformedInstanceError, Problem, saturating_add
+from ..core import AtomicU64Array, GlobalState, MalformedInstanceError, Problem, saturating_add
 from ..instances import CsrGraph
 
 
@@ -37,8 +37,6 @@ class JobScheduling(Problem):
         self._n_pred = graph.in_degrees()
 
     def init_state(self, recorder=None) -> GlobalState:
-        from ..core import AtomicU64Array
-
         extra = {
             "parent_max": AtomicU64Array([0] * self.size),
             "prereqs": AtomicU64Array(self._n_pred),
@@ -50,22 +48,22 @@ class JobScheduling(Problem):
             (j, self.durations[j]) for j in range(self.size) if self._n_pred[j] == 0
         )
 
-    def is_forbidden(self, state: GlobalState, j: int) -> bool:
+    def witness(self, state: GlobalState, j: int):
+        """j's completion bound, parent maximum plus t_j, once j is ready and below it."""
         if state.extra["prereqs"].load(j) != 0:
-            return False  # not ready yet
+            return None  # not ready yet
         target = saturating_add(state.extra["parent_max"].load(j), self.durations[j])
-        return state.values.load(j) < target
+        return target if state.values.load(j) < target else None
 
-    def advance(self, state: GlobalState, j: int, worklist) -> bool:
+    def apply(self, state: GlobalState, j: int, target: int, worklist) -> bool:
         parent_max = state.extra["parent_max"]
         prereqs = state.extra["prereqs"]
-        target = saturating_add(parent_max.load(j), self.durations[j])
         rose = state.values.monotone_max(j, target).updated
         if state.mark_fixed(j):
             completion = state.values.load(j)
             ready = []
             for child in self._succ[j]:
-                parent_max.fetch_max(child, completion)
+                parent_max.monotone_max(child, completion)
                 if prereqs.fetch_sub(child, 1) == 1:
                     prio = saturating_add(parent_max.load(child), self.durations[child])
                     ready.append((child, prio))

@@ -90,7 +90,11 @@ class ShortestPaths(Problem):
         if items:
             worklist.push_all(items)
 
-    def _best_in(self, cells: list, v: int) -> int:
+    def witness(self, state: GlobalState, v: int):
+        """The best in-edge candidate for d(v), or None when it does not beat d(v)."""
+        if v == self.source:
+            return None
+        cells = state.values.cells()
         # INF plus a weight exceeds INF and never wins, so unreached
         # neighbours need no special case.
         best = INF
@@ -98,9 +102,9 @@ class ShortestPaths(Problem):
             cand = cells[u] + w
             if cand < best:
                 best = cand
-        return best
+        return best if best < cells[v] else None
 
-    def _lower(self, state: GlobalState, v: int, d: int, worklist) -> bool:
+    def apply(self, state: GlobalState, v: int, d: int, worklist) -> bool:
         """Lower d(v) to ``d`` and push the out-neighbours that lowering improves.
 
         False when a concurrent relax got there first.
@@ -115,32 +119,6 @@ class ShortestPaths(Problem):
         if d < offered[v]:
             offered[v] = d
         self._push_improved(offered, v, d, worklist)
-        return True
-
-    def is_forbidden(self, state: GlobalState, v: int) -> bool:
-        if v == self.source:
-            return False
-        cells = state.values.cells()
-        return self._best_in(cells, v) < cells[v]
-
-    def advance(self, state: GlobalState, v: int, worklist) -> bool:
-        return self._lower(state, v, self._best_in(state.values.cells(), v), worklist)
-
-    def ensure(self, state: GlobalState, v: int, worklist) -> bool:
-        # Single-scan override: the relaxation candidate from the check
-        # is reused for the advance.
-        stats = state.stats
-        stats.predicate_evals += 1
-        if v == self.source:
-            return False
-        cells = state.values.cells()
-        cand = self._best_in(cells, v)
-        if cand >= cells[v]:
-            return False
-        if self._lower(state, v, cand, worklist):
-            stats.advances += 1
-        else:
-            stats.failed_replaces += 1
         return True
 
     def _arc_weights(self, graph: CsrGraph, arcs: np.ndarray):
@@ -189,10 +167,10 @@ class BreadthFirstLevels(ShortestPaths):
     """Hop levels from a source; shortest paths with every weight one.
 
     A vertex is forbidden when an in-neighbour sits more than one level
-    below it.  The check, the advance, ``ensure`` and the vector
-    operations are those of :class:`ShortestPaths` with every weight
-    one: lowering v to level d pushes only the out-neighbours x with
-    d + 1 < offered[x], each keyed by its candidate level d + 1.
+    below it.  The check, the advancement and the vector operations are
+    those of :class:`ShortestPaths` with every weight one: lowering v to
+    level d pushes only the out-neighbours x with d + 1 < offered[x],
+    each keyed by its candidate level d + 1.
     """
 
     _adjacency = staticmethod(CsrGraph.successor_lists)
@@ -213,10 +191,14 @@ class BreadthFirstLevels(ShortestPaths):
     def _arc_weights(self, graph: CsrGraph, arcs: np.ndarray):
         return _ONE
 
-    def _best_in(self, cells: list, v: int) -> int:
+    def witness(self, state: GlobalState, v: int):
+        if v == self.source:
+            return None
+        cells = state.values.cells()
         best = INF
         for u in self._in[v]:
             d = cells[u]
             if d < best:
                 best = d
-        return saturating_add(best, 1)
+        best = saturating_add(best, 1)
+        return best if best < cells[v] else None

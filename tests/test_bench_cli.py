@@ -81,12 +81,8 @@ def test_run_verify_empty_problem_set_reports_zero_checks():
 class _InvertedShortestPaths(ShortestPaths):
     """Negative control: a check that never fires, on every path, under-solves."""
 
-    def is_forbidden(self, state, v):
-        return False
-
-    def ensure(self, state, v, worklist):
-        state.stats.predicate_evals += 1
-        return False
+    def witness(self, state, v):
+        return None
 
     def forbidden_batch(self, values, indices):
         return indices[:0], values[:0]
@@ -107,10 +103,13 @@ def test_run_verify_flags_broken_adapter():
 class _FirstWordClosure(TransitiveClosure):
     """Negative control: a check that reads only the first word of each row."""
 
-    def is_forbidden(self, state, u):
+    def witness(self, state, u):
         cells = state.values.cells()
         wpr = self.words_per_row
-        return any(cells[w * wpr] & ~cells[u * wpr] for w in self._succ[u])
+        for i, w in enumerate(self._succ[u]):
+            if cells[w * wpr] & ~cells[u * wpr]:
+                return i * wpr
+        return None
 
 
 def test_run_verify_reaches_multi_word_closure_rows():
@@ -121,6 +120,7 @@ def test_run_verify_reaches_multi_word_closure_rows():
 
     report = run_verify(["closure"], seeds=3, threads=(1,), adapter_factory=broken_factory)
     assert not report.ok
+    assert {strategy for (_problem, strategy), (_ok, bad) in report.per_cell.items() if bad} == set(STRATEGIES)
     assert all("divergent index" in failure.detail for failure in report.failures)
 
 

@@ -12,44 +12,44 @@ from llp.core import (
     AtomicU64Array,
     FixedVector,
     GlobalState,
-    monotone_update,
+    Problem,
     saturating_add,
 )
 from llp.instances import example_graph
 from llp.problems import adapter_for
+from llp.solvers import solve
 from llp.worklists import SeqBag
 
 
 def test_monotone_update_improves_from_infinity():
     cells = AtomicU64Array([INF])
-    res = monotone_update(cells, 0, 3, "min")
+    res = cells.monotone_min(0, 3)
     assert res.updated and res.value == INF
     assert cells.load(0) == 3
 
 
 def test_monotone_update_rejects_worse_candidate():
     cells = AtomicU64Array([3])
-    res = monotone_update(cells, 0, 8, "min")
+    res = cells.monotone_min(0, 8)
     assert not res.updated and res.value == 3
     assert cells.load(0) == 3
 
 
 def test_monotone_update_equal_is_unchanged():
+    # Strict in both directions: an equal candidate changes nothing.
     cells = AtomicU64Array([5])
-    res = monotone_update(cells, 0, 5, "min")
+    res = cells.monotone_min(0, 5)
+    assert not res.updated and res.value == 5
+    res = cells.monotone_max(0, 5)
     assert not res.updated and res.value == 5
 
 
 def test_monotone_update_max_direction():
     cells = AtomicU64Array([5])
-    assert monotone_update(cells, 0, 9, "max").updated
-    assert not monotone_update(cells, 0, 2, "max").updated
+    assert cells.monotone_max(0, 9).updated
+    res = cells.monotone_max(0, 2)
+    assert not res.updated and res.value == 9
     assert cells.load(0) == 9
-
-
-def test_monotone_update_rejects_unknown_order():
-    with pytest.raises(ValueError):
-        monotone_update(AtomicU64Array([0]), 0, 1, "avg")
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40))
@@ -127,12 +127,10 @@ def test_saturating_add_caps_at_infinity():
 
 
 def test_fetch_ops_return_prior_value():
-    cells = AtomicU64Array([0b0101, 10, 10])
+    cells = AtomicU64Array([0b0101, 10])
     assert cells.fetch_or(0, 0b0010) == 0b0101
     assert cells.load(0) == 0b0111
-    assert cells.fetch_max(1, 4) == 10 and cells.load(1) == 10
-    assert cells.fetch_max(1, 40) == 10 and cells.load(1) == 40
-    assert cells.fetch_sub(2, 1) == 10 and cells.load(2) == 9
+    assert cells.fetch_sub(1, 1) == 10 and cells.load(1) == 9
 
 
 def test_compare_exchange_only_fires_on_expected():
@@ -206,6 +204,37 @@ def test_ensure_fixed_point_has_no_forbidden_index():
     for v in range(4):
         assert adapter.ensure(state, v, SeqBag()) is False
     assert state.values.snapshot() == [0, 2, 5, 3]
+
+
+class _NoCheck(Problem):
+    """Defines neither ``witness`` nor ``is_forbidden``."""
+
+    size = 1
+
+    def init_state(self, recorder=None):
+        return GlobalState([0], recorder=recorder)
+
+    def push_initial(self, state, worklist):
+        worklist.push((0, 0))
+
+    def final_solution(self, state):
+        return state.values.to_numpy()
+
+
+class _NoAdvancement(_NoCheck):
+    """Defines ``witness`` but neither ``apply`` nor ``advance``."""
+
+    def witness(self, state, index):
+        return 1 if state.values.load(index) < 1 else None
+
+
+@pytest.mark.parametrize("problem_class", [_NoCheck, _NoAdvancement])
+def test_a_problem_without_its_check_or_advancement_is_not_implemented(problem_class):
+    problem = problem_class()
+    with pytest.raises(NotImplementedError, match=problem_class.__name__):
+        problem.ensure(problem.init_state(), 0, SeqBag())
+    with pytest.raises(NotImplementedError):
+        solve(problem, strategy="bag")
 
 
 def test_racing_monotone_writers_keep_best_value():

@@ -12,7 +12,8 @@ from llp.baselines import (
     gale_shapley_seq,
     topo_sort_seq,
 )
-from llp.core import INF, GlobalState, MalformedInstanceError
+import llp.problems
+from llp.core import INF, GlobalState, MalformedInstanceError, Problem
 from llp.instances import CsrGraph, SplitMix64, generate
 from llp.problems import (
     BreadthFirstLevels,
@@ -23,10 +24,11 @@ from llp.problems import (
     TransitiveClosure,
     TreeReduction,
     adapter_for,
+    pack_reachability,
     unpack_reachability,
 )
 from llp.solvers import SEQUENTIAL_STRATEGIES, STRATEGIES, SolverConfig, solve
-from llp.worklists import SeqBag
+from llp.worklists import RandomOrderBag, SeqBag
 
 SUITE_SEEDS = 100
 
@@ -335,6 +337,32 @@ def test_closure_two_cycle_reaches_self():
     assert reach.all()  # (a,a), (a,b), (b,a), (b,b): nonempty-path semantics
 
 
+def test_closure_advance_resumes_where_the_check_stopped():
+    # Row 0's check stops at word 1 of its first successor (vertex 100);
+    # the advancement must still read word 0 of the later successor 2.
+    graph = CsrGraph.from_edges(130, [(0, 1, 1), (0, 2, 1), (1, 100, 1), (2, 3, 1)])
+    adapter = TransitiveClosure(graph)
+    state = adapter.init_state()
+    assert adapter.witness(state, 0) == 1
+    assert adapter.ensure(state, 0, SeqBag())
+    assert adapter.witness(state, 0) is None
+    reach = adapter.reachability_matrix(state.values.to_numpy())
+    assert np.flatnonzero(reach[0]).tolist() == [1, 2, 3, 100]
+
+
+def test_reachability_packing_matches_a_bitwise_reference():
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 63, 64, 65, 130):
+        matrix = rng.random((n, n)) < 0.3
+        wpr = max(1, (n + 63) // 64)
+        want = [0] * (n * wpr)
+        for u, v in np.argwhere(matrix).tolist():
+            want[u * wpr + (v >> 6)] |= 1 << (v & 63)
+        words = pack_reachability(matrix)
+        assert words.dtype == np.uint64 and words.tolist() == want, n
+        assert np.array_equal(unpack_reachability(want, n), matrix), n
+
+
 def test_closure_is_idempotent():
     inst = generate("closuredag:n=30,p=0.2", 77)
     first = TransitiveClosure(inst.graph)
@@ -426,6 +454,81 @@ def test_is_forbidden_is_a_pure_read(problem, spec):
         adapter.is_forbidden(state, index)
     assert state.values.snapshot() == before
     assert {k: v.snapshot() for k, v in state.extra.items()} == extra_before
+
+
+# Mid-solve states: each draw pops and ensures a random number of items
+# of a random-order drain, with multi-strip knapsack tiles and two-word
+# closure rows.
+CHECK_SPECS = [
+    ("sssp", "randgraph:n=60,m=180,wmax=9"),
+    ("bfs", "randgraph:n=60,m=180"),
+    ("sm", "sm:n=12"),
+    ("job", "dag:n=60,p=0.1"),
+    ("reduce", "reduce:n=50"),
+    ("closure", "closuredag:n=70,p=0.1"),
+    ("knapsack", "knap:n=8,cap=60,wmax=20,vmax=30"),
+]
+
+
+def _mid_solve_states(problem, spec, seed, draws=6):
+    rng = SplitMix64(0xC4EC ^ seed)
+    for draw in range(draws):
+        adapter = adapter_for(problem, generate(spec, 10 * seed + draw), tile_width=16)
+        state = adapter.init_state()
+        bag = RandomOrderBag(seed=draw)
+        adapter.push_initial(state, bag)
+        for _ in range(rng.below(adapter.size)):
+            item = bag.pop()
+            if item is None:
+                break
+            adapter.ensure(state, item[0], bag)
+        yield adapter, state
+
+
+def _count_calls(adapter) -> dict:
+    """Make ``adapter`` count its contract calls into the returned dict."""
+    calls = {"witness": 0, "apply": 0, "is_forbidden": 0, "advance": 0}
+
+    def counted(name):
+        inner = getattr(type(adapter), name)
+
+        def call(self, *args):
+            calls[name] += 1
+            return inner(self, *args)
+
+        return call
+
+    adapter.__class__ = type("Counted", (type(adapter),), {name: counted(name) for name in calls})
+    return calls
+
+
+@pytest.mark.parametrize("problem,spec", CHECK_SPECS)
+@pytest.mark.parametrize("seed", range(2))
+def test_one_check_per_ensure(problem, spec, seed):
+    found = 0
+    for adapter, state in _mid_solve_states(problem, spec, seed):
+        before = state.values.snapshot(), state.stats.as_dict()
+        for index in range(adapter.size):
+            witness = adapter.witness(state, index)
+            assert adapter.is_forbidden(state, index) == (witness is not None), index
+            found += witness is not None
+        assert (state.values.snapshot(), state.stats.as_dict()) == before
+        counts = _count_calls(adapter)
+        for index in range(adapter.size):
+            forbidden = adapter.is_forbidden(state, index)
+            counts.update(dict.fromkeys(counts, 0))
+            assert adapter.ensure(state, index, SeqBag()) == forbidden
+            assert counts == {"witness": 1, "apply": int(forbidden), "is_forbidden": 0, "advance": 0}
+    assert found > 0
+
+
+def test_adapters_write_only_the_check_and_the_advancement():
+    adapters = [cls for cls in vars(llp.problems).values() if isinstance(cls, type) and issubclass(cls, Problem)]
+    assert len(adapters) == 7
+    for cls in adapters:
+        for klass in cls.__mro__[: cls.__mro__.index(Problem)]:
+            assert not {"is_forbidden", "advance", "ensure"} & set(vars(klass)), klass
+        assert cls.witness is not Problem.witness and cls.apply is not Problem.apply, cls
 
 
 def _reachable_states(adapter, start):

@@ -442,11 +442,11 @@ class _Cascade(Problem):
     def push_initial(self, state, worklist):
         worklist.push_all([(1, 0)])
 
-    def is_forbidden(self, state, v):
-        return v >= 1 and state.values.load(v) == 0
+    def witness(self, state, v):
+        return 1 if v >= 1 and state.values.load(v) == 0 else None
 
-    def advance(self, state, v, worklist):
-        if not state.values.monotone_max(v, 1).updated:
+    def apply(self, state, v, one, worklist):
+        if not state.values.monotone_max(v, one).updated:
             return False
         if v < self.size // 2:
             worklist.push_all([(2 * v, v), (2 * v + 1, v)])
@@ -482,10 +482,10 @@ class _ExplodingProblem(Problem):
     def push_initial(self, state, worklist):
         worklist.push_all((i, 0) for i in range(4))
 
-    def is_forbidden(self, state, index):
-        return True
+    def witness(self, state, index):
+        return index
 
-    def advance(self, state, index, worklist):
+    def apply(self, state, index, witness, worklist):
         raise RuntimeError("boom")
 
 
@@ -515,11 +515,12 @@ class _BoundedProblem(Problem):
     def push_initial(self, state, worklist):
         worklist.push((0, 0))
 
-    def is_forbidden(self, state, index):
-        return state.values.load(0) < 5
+    def witness(self, state, index):
+        current = state.values.load(0)
+        return current if current < 5 else None
 
-    def advance(self, state, index, worklist):
-        nxt = state.values.load(0) + 1
+    def apply(self, state, index, current, worklist):
+        nxt = current + 1
         if nxt > self.bound[0]:
             raise InfeasibleError("needs more than the bound allows")
         state.values.monotone_max(0, nxt)
