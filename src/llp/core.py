@@ -30,11 +30,6 @@ U64_MASK = 0xFFFFFFFFFFFFFFFF
 INF = U64_MASK
 
 
-def _u64(values: Iterable[int]) -> np.ndarray:
-    """A uint64 numpy array of ``values``, packed in one C pass."""
-    return np.frombuffer(array("Q", values), dtype=np.uint64)
-
-
 def saturating_add(a: int, b: int) -> int:
     """Unsigned 64-bit addition that clamps at INF instead of wrapping."""
     s = a + b
@@ -83,7 +78,8 @@ class AtomicU64Array:
     Loads are plain list reads (GIL-atomic).  All mutation goes through
     one of 64 striped locks, so concurrent read-modify-write operations
     on the same cell serialize and stale writes can never regress a
-    monotone cell.  An initial value outside [0, 2**64) raises
+    monotone cell; the one exception is ``store_all``, a bulk store made
+    while no worker runs.  An initial value outside [0, 2**64) raises
     ``OverflowError``.
     """
 
@@ -113,9 +109,17 @@ class AtomicU64Array:
     def snapshot(self) -> list:
         return list(self._cells)
 
+    def store_all(self, values: np.ndarray) -> None:
+        """Overwrite every cell with the uint64 array ``values``, unlocked and unrecorded.
+
+        Only for a caller that owns every cell while no worker runs, such
+        as ``allpar`` publishing the array its vector step advanced.
+        """
+        self._cells[:] = values.tolist()
+
     def to_numpy(self) -> np.ndarray:
-        """A writable uint64 numpy copy of every cell, read in one pass."""
-        return _u64(self._cells)
+        """A writable uint64 numpy copy of every cell, packed in one C pass."""
+        return np.frombuffer(array("Q", self._cells), dtype=np.uint64)
 
     def _lock_for(self, index: int) -> threading.Lock:
         return self._locks[index & (self._STRIPES - 1)]
@@ -131,49 +135,6 @@ class AtomicU64Array:
                     self._recorder(index, old, candidate)
                 return Update(True, old)
             return Update(False, old)
-
-    def monotone_min_many(self, indices: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """Lower each ``indices[k]`` to ``candidates[k]`` iff that is a strict improvement.
-
-        Returns a bool mask over ``indices``: True where the cell changed.
-        A repeated index keeps only its least candidate (the first among
-        equals), so a later, larger one can never raise the cell again;
-        the mask marks that one position.  The batch gathers the old
-        values of its own indices, compares them in numpy and writes only
-        the cells that fall; the recorder sees each of those changes, as
-        it does for ``monotone_min``.  The batch holds every stripe lock,
-        taken in one fixed order so two batches cannot deadlock, and
-        single-cell updates never hold two.
-        """
-        mask = np.zeros(len(indices), dtype=bool)
-        positions = None
-        if len(indices) > 1 and not (indices[1:] > indices[:-1]).all():
-            # Not strictly increasing, so an index may repeat: keep each
-            # index's least candidate, in input order.
-            order = np.lexsort((candidates, indices))
-            first = np.ones(len(order), dtype=bool)
-            sorted_indices = indices[order]
-            first[1:] = sorted_indices[1:] != sorted_indices[:-1]
-            positions = np.sort(order[first])
-            indices, candidates = indices[positions], candidates[positions]
-        cells = self._cells
-        recorder = self._recorder
-        index_list = indices.tolist()
-        for lock in self._locks:
-            lock.acquire()
-        try:
-            old = _u64([cells[i] for i in index_list])
-            hits = np.flatnonzero(candidates < old)
-            news = candidates[hits].tolist()
-            for index, was, new in zip(indices[hits].tolist(), old[hits].tolist(), news):
-                cells[index] = new
-                if recorder is not None:
-                    recorder(index, was, new)
-        finally:
-            for lock in reversed(self._locks):
-                lock.release()
-        mask[hits if positions is None else positions[hits]] = True
-        return mask
 
     def monotone_max(self, index: int, candidate: int) -> Update:
         """Raise the cell to ``candidate`` iff that is a strict improvement."""
@@ -265,7 +226,8 @@ class Stats:
     stays 0 for the popping ones.  ``stale_drops`` counts popped items
     that ``Problem.is_stale`` discarded unchecked, so a popping solve of
     an adapter that does not memoize makes ``predicate_evals +
-    stale_drops`` pops.
+    stale_drops`` pops.  A vector step (``Problem.ensure_batch``) never
+    counts a failed replace: each of its writes is its owner's own.
     """
 
     __slots__ = ("predicate_evals", "advances", "failed_replaces", "passes", "stale_drops")
@@ -340,7 +302,8 @@ class Problem:
       ``stats.stale_drops`` instead of ``predicate_evals``.
 
     An adapter whose state is one cell per index may also supply two
-    vector operations over a uint64 numpy copy ``values`` of the cells:
+    vector operations over a uint64 numpy array ``values``, one value per
+    cell:
 
     - ``forbidden_batch(values, indices) -> (forbidden, witnesses)``, a
       pure check of the int64 array ``indices``: ``forbidden`` holds the
@@ -350,17 +313,16 @@ class Problem:
       runs it once over every index instead of ``is_forbidden``.
     - ``ensure_batch(state, indices, values) -> wake``, which ``allpar``
       runs in place of one ``ensure`` per index.  ``values`` is the
-      solver's mirror of the cells: it may lag them but is never ahead
-      of them in lattice order (see ``solvers._run_batches``).  The step
-      checks ``indices``
-      against it, lowers (or raises) the forbidden ones in one bulk
-      write, copies each change into ``values``, and counts work as
-      ``ensure`` does: one evaluation per index, one advance or failed
-      replace per forbidden one; it adds to ``advances`` only when it
-      advanced something, because the scan's stop rule compares that
-      counter.  ``wake`` holds the indices whose check its writes may
-      have changed; an index outside it must stay unforbidden unless
-      some other write wakes it.
+      solve's state, which ``allpar`` copies into the cells once its
+      passes end (see ``solvers._run_batches``).  ``indices`` are the
+      caller's own, each once, and only their owner writes them.  The
+      step checks them against ``values``, writes each forbidden one's
+      witness into ``values`` in place, and counts work as ``ensure``
+      does: one evaluation per index, one advance per forbidden one; it
+      adds to ``advances`` only when it advanced something, because the
+      scan's stop rule compares that counter.  ``wake`` holds the
+      indices whose check its writes may have changed; an index outside
+      it must stay unforbidden unless some other write wakes it.
     """
 
     #: "min" or "max"; the direction coordinates move.

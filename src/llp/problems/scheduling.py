@@ -12,12 +12,12 @@ class JobScheduling(Problem):
     """Earliest completion times over a prerequisite DAG.
 
     A job is ready once every prerequisite is fixed, tracked by an
-    atomic countdown per job.  A ready job j is forbidden while
-    G[j] < max_from_parents[j] + t_j; advancing raises it to that bound,
-    fixes the job (exactly one concurrent advancer wins), publishes the
-    completion to each successor's parent-maximum cache, and enqueues
-    successors whose countdown reaches zero, at a priority equal to
-    their own predicted completion.
+    atomic countdown per job.  A ready job j is forbidden until it is
+    fixed with G[j] >= max_from_parents[j] + t_j; advancing raises G[j]
+    to that bound, fixes the job (exactly one concurrent advancer wins),
+    publishes the completion to each successor's parent-maximum cache,
+    and enqueues successors whose countdown reaches zero, at a priority
+    equal to their own predicted completion.
 
     Readiness implies the parent maximum is final, so a fixed job can
     never be forbidden again; solvers may skip fixed indices
@@ -49,11 +49,14 @@ class JobScheduling(Problem):
         )
 
     def witness(self, state: GlobalState, j: int):
-        """j's completion bound, parent maximum plus t_j, once j is ready and below it."""
+        """j's completion bound, parent maximum plus t_j, once j is ready and until it is fixed there.
+
+        A bound of 0 equals the initial cell, so only the advance, which fixes j, clears it.
+        """
         if state.extra["prereqs"].load(j) != 0:
             return None  # not ready yet
         target = saturating_add(state.extra["parent_max"].load(j), self.durations[j])
-        return target if state.values.load(j) < target else None
+        return None if state.fixed.is_fixed(j) and state.values.load(j) >= target else target
 
     def apply(self, state: GlobalState, j: int, target: int, worklist) -> bool:
         parent_max = state.extra["parent_max"]

@@ -43,7 +43,8 @@ class ShortestPaths(Problem):
     ``forbidden_batch`` is the same check for many vertices at once, over
     numpy gathers of the CSR arcs, with each forbidden vertex's best
     candidate as its witness.  ``ensure_batch`` writes those candidates
-    and wakes the out-neighbours x with d(v) + w < d(x).
+    into ``allpar``'s distance array in place, not into the cells, and
+    wakes the out-neighbours x with d(v) + w < d(x).
     """
 
     lattice = "min"
@@ -143,17 +144,14 @@ class ShortestPaths(Problem):
         v, best = self.forbidden_batch(d, indices)
         if not len(v):
             return v
-        changed = state.values.monotone_min_many(v, best)
-        advanced = int(np.count_nonzero(changed))
-        # Only a real advance touches the counter, so every store to it
-        # exceeds the value it read: the scan's stop rule rests on that.
-        if advanced:
-            stats.advances += advanced
-        stats.failed_replaces += len(v) - advanced
-        v, best = v[changed], best[changed]
+        # Each v is the caller's own and appears once, so this write is a
+        # strict fall and counts one advance.  Only a real advance touches
+        # the counter, so every store to it exceeds the value it read: the
+        # scan's stop rule rests on that.
+        stats.advances += len(v)
         d[v] = best
-        # Wake the out-neighbours x with d(v) + w < d(x); d(x) is never
-        # below the cell, so a stale one only wakes more.
+        # Wake the out-neighbours x with d(v) + w < d(x); a peer's d[x]
+        # read mid-write is stale-high, never below, so it only wakes more.
         arcs, counts = _row_arcs(self.graph.offsets, v)
         w = self._arc_weights(self.graph, arcs)
         x = self.graph.targets[arcs]

@@ -6,8 +6,9 @@ indices are selected.  ``cyclic`` and ``allpar`` sweep index ranges in
 passes until a pass advances nothing; the others pop a worklist until
 it is quiescent.  ``allpar`` over an adapter with a vector step
 (``Problem.ensure_batch``) checks only the changed frontier of each
-range per pass, in one batch, against a numpy mirror of the cells kept
-across passes.  One harness starts, joins and reports the errors of
+range per pass, in one batch, against one numpy array of the state that
+each worker advances in place for its own range; the cells take it once
+the passes end.  One harness starts, joins and reports the errors of
 every strategy's workers.  After any solve, a full scan asserts that no
 index is forbidden before the solution is extracted: one vector check
 (``Problem.forbidden_batch``) over all indices where the adapter has
@@ -248,29 +249,33 @@ def _run_scan(problem: Problem, state: GlobalState, ranges: list) -> None:
     _run_passes(state, [partial(sweep, r) for r in ranges])
 
 
-def _run_batches(problem: Problem, state: GlobalState, ranges: list) -> None:
+def _run_batches(
+    problem: Problem, state: GlobalState, ranges: list, recorder: Optional[Recorder]
+) -> None:
     """Run ``ensure_batch`` over each range's changed frontier, one worker per range.
 
-    ``d`` mirrors the cells: one read of them per solve, then every
-    batch copies its own writes into it.  This is sound because only
-    v's range owner writes v, and it sets ``d[v]`` right after its bulk
-    write lowers the cell, before its sweep sets any dirty bit.  So
-    ``d`` is never below the cells, and a worker reads its own indices
-    exactly.  A peer that reads ``d[v]`` stale-high read it before the
-    copy, and it cleared its own bits before that read; the owner's
-    wake, computed from the copy and set after it, therefore lands after
-    the clear, and the peer checks again next pass.
+    ``d`` is the state of the solve: one read of the cells, then each
+    batch advances its own indices in ``d`` in place, and the cells take
+    ``d`` in one store after the last pass.  This is sound because only
+    v's range owner writes ``d[v]``, and only downward, so a worker reads
+    its own indices exactly and a peer may read ``d[v]`` stale-high,
+    never below.  A peer that reads ``d[v]`` stale-high read it before
+    the owner's write, and it cleared its own bits before that read; the
+    owner's wake, computed after the write, therefore lands after the
+    clear, and the peer checks again next pass.
 
     ``dirty`` marks the indices to check next pass; pass 1 checks all.
     The frontier is sound: an index left clean was not forbidden at its
     last check, and none of its inputs has changed since, because every
-    write wakes the indices whose check it may change (a wake compares
-    against ``d``, which is never below the cells, so it can only wake
-    more).  A worker clears its indices' bits *before* its batch reads
-    ``d``, so a write that races that read sets its targets' bits after
-    the clear, and they are checked next pass.  An empty frontier is
-    therefore a fixed point; the post-solve scan certifies it all the
-    same, against the cells themselves.
+    write wakes the indices whose check it may change (a wake that reads
+    a peer's index stale-high can only wake more).  A worker clears its
+    indices' bits *before* its batch reads ``d``, so a write that races
+    that read sets its targets' bits after the clear, and they are
+    checked next pass.  An empty frontier is therefore a fixed point;
+    the post-solve scan certifies it all the same, against the cells.
+
+    With a ``recorder``, each sweep reports every change its batch made
+    to ``d`` as ``(index, old, new)``, from the thread that made it.
     """
     dirty = np.ones(problem.size, dtype=bool)
     d = state.values.to_numpy()
@@ -279,9 +284,15 @@ def _run_batches(problem: Problem, state: GlobalState, ranges: list) -> None:
     def sweep(indices: range) -> None:
         todo = np.flatnonzero(dirty[indices.start : indices.stop]) + indices.start
         dirty[todo] = False
+        old = None if recorder is None else d[todo]
         dirty[ensure_batch(state, todo, d)] = True
+        if old is not None:
+            new = d[todo]
+            for k in np.flatnonzero(new != old).tolist():
+                recorder(int(todo[k]), int(old[k]), int(new[k]))
 
     _run_passes(state, [partial(sweep, r) for r in ranges])
+    state.values.store_all(d)
 
 
 def run_solver(
@@ -311,7 +322,7 @@ def run_solver(
         step = (n + threads - 1) // threads
         ranges = [range(i * step, min(n, (i + 1) * step)) for i in range(threads)]
         if problem.ensure_batch is not None:
-            _run_batches(problem, state, ranges)
+            _run_batches(problem, state, ranges, recorder)
         else:
             _run_scan(problem, state, ranges)
     else:

@@ -64,45 +64,16 @@ def test_monotone_min_never_regresses(candidates):
     assert cells.load(0) == min([INF] + candidates)
 
 
-def _u64s(values):
-    return np.array(values, dtype=np.uint64)
-
-
-def test_monotone_min_many_keeps_the_least_candidate_of_a_repeated_index():
-    # Cell 0 is offered 7, then 5, then 9 in one batch: a write of a later
-    # candidate that only beat the gathered old value would leave 7 or 9.
+def test_store_all_overwrites_in_place_unrecorded():
+    # The bulk store is the one unlocked write: it keeps the backing list
+    # that hot loops hold and never calls the recorder.
     changes = []
-    cells = AtomicU64Array([10, 4, INF], recorder=lambda i, old, new: changes.append((i, old, new)))
-    mask = cells.monotone_min_many(np.array([0, 2, 0, 1, 0]), _u64s([7, 6, 5, 4, 9]))
-    assert cells.snapshot() == [5, 4, 6]
-    assert mask.tolist() == [False, True, True, False, False]
-    assert sorted(changes) == [(0, 10, 5), (2, INF, 6)]
-
-
-def test_monotone_min_many_first_of_equal_least_candidates_changes():
-    cells = AtomicU64Array([10])
-    mask = cells.monotone_min_many(np.array([0, 0, 0]), _u64s([8, 3, 3]))
-    assert cells.snapshot() == [3]
-    assert mask.tolist() == [False, True, False]
-
-
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2**64 - 1)), max_size=30),
-       st.lists(st.integers(0, 2**64 - 1), min_size=6, max_size=6))
-@settings(max_examples=200, deadline=None)
-def test_monotone_min_many_matches_scalar_updates(batch, start):
-    # Every cell ends at min(start, its candidates); the recorder sees one
-    # strict decrease per changed cell from its true old value, and the
-    # mask marks exactly one position per changed cell.
-    changes = []
-    cells = AtomicU64Array(start, recorder=lambda i, old, new: changes.append((i, old, new)))
-    indices = np.array([i for i, _c in batch], dtype=np.int64)
-    mask = cells.monotone_min_many(indices, _u64s([c for _i, c in batch]))
-    want = list(start)
-    for i, c in batch:
-        want[i] = min(want[i], c)
-    assert cells.snapshot() == want
-    assert sorted(changes) == [(i, start[i], want[i]) for i in range(6) if want[i] < start[i]]
-    assert sorted(indices[mask].tolist()) == [i for i, _old, _new in sorted(changes)]
+    cells = AtomicU64Array([INF, 7, 3], recorder=lambda i, old, new: changes.append(i))
+    backing = cells.cells()
+    cells.store_all(np.array([0, 5, 3], dtype=np.uint64))
+    assert cells.snapshot() == [0, 5, 3] and cells.cells() is backing
+    assert all(type(v) is int for v in backing)
+    assert changes == []
 
 
 @pytest.mark.parametrize("value", [-1, 2**64])

@@ -27,7 +27,7 @@ from llp.problems import (
     pack_reachability,
     unpack_reachability,
 )
-from llp.solvers import SEQUENTIAL_STRATEGIES, STRATEGIES, SolverConfig, solve
+from llp.solvers import SEQUENTIAL_STRATEGIES, STRATEGIES, SolverConfig, run_solver, solve
 from llp.worklists import RandomOrderBag, SeqBag
 
 SUITE_SEEDS = 100
@@ -113,8 +113,9 @@ def test_allpar_vector_step_oracle_suite(adapter_class, oracle, seed):
         want = oracle(graph, source)
         assert np.array_equal(solve(adapter, strategy="bag"), want)
         for threads in (1, 2, 3):
-            got = solve(adapter, strategy="allpar", threads=threads)
-            assert np.array_equal(got, want), (draw, threads)
+            result = run_solver(adapter, SolverConfig(strategy="allpar", threads=threads))
+            assert np.array_equal(result.solution, want), (draw, threads)
+            assert result.stats.failed_replaces == 0
 
 
 @pytest.mark.parametrize("adapter_class", [ShortestPaths, BreadthFirstLevels])
@@ -248,6 +249,38 @@ def test_job_single_and_chain_and_diamond():
     )
     got = solve(diamond, strategy="bag")
     assert got.tolist() == [2, 5, 6, 7]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_job_zero_duration_is_still_fixed(strategy):
+    # Job 0's bound, 0, is the cell's initial value; it must be fixed all
+    # the same, or job 1 never becomes ready.
+    adapter = JobScheduling(CsrGraph.from_edges(2, [(0, 1, 1)]), [0, 5])
+    assert solve(adapter, strategy=strategy).tolist() == [0, 5]
+
+
+JOB_CONFIGS = [(s, 1) for s in SEQUENTIAL_STRATEGIES] + [
+    (s, t) for s in STRATEGIES if s not in SEQUENTIAL_STRATEGIES for t in (1, 2)
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_job_zero_and_small_durations_match_the_oracle(seed):
+    # Durations from {0, 1, 2} make many bounds equal to the initial 0 or
+    # to a parent's completion; ids are shuffled so no order is
+    # topological.
+    rng = SplitMix64(0x10B ^ seed)
+    for draw in range(10):
+        n = rng.uniform(1, 30)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        arcs = [(ids[u], ids[v], 1) for u in range(n) for v in range(u + 1, n) if rng.chance(0.15)]
+        graph = CsrGraph.from_edges(n, arcs)
+        durations = [rng.below(3) for _ in range(n)]
+        want = topo_sort_seq(graph, durations)
+        for strategy, threads in JOB_CONFIGS:
+            got = solve(JobScheduling(graph, durations), strategy=strategy, threads=threads)
+            assert np.array_equal(got, want), (draw, strategy, threads)
 
 
 def test_job_cyclic_input_reports_malformed_instance():

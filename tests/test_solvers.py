@@ -390,15 +390,31 @@ def test_monotone_recording_under_randomized_schedules():
             assert not regressions
 
 
-@pytest.mark.parametrize("problem", ["sssp", "bfs"])
-def test_vector_step_records_every_cell_change(problem):
-    # The bulk write reports each change to the recorder: none regresses,
-    # and at one thread there is one change per counted advance.
+@pytest.mark.parametrize(
+    "problem,threads", [("sssp", 1), ("bfs", 1), ("sssp", 2), ("bfs", 2)],
+    ids=["sssp", "bfs", "sssp-2threads", "bfs-2threads"],
+)
+def test_vector_step_records_every_cell_change(problem, threads):
+    # The vector step reports each change to the recorder: none regresses,
+    # no write fails, and at one thread there is one change per counted
+    # advance.  At two, replaying the changes over the initial cells
+    # gives the solution.
     adapter = adapter_for(problem, generate("randgraph:n=300,m=900,wmax=9", 5))
     changes = []
-    result = run_solver(adapter, SolverConfig(strategy="allpar"), recorder=lambda i, old, new: changes.append(new < old))
-    assert all(changes)
-    assert len(changes) == result.stats.advances > 0
+    result = run_solver(
+        adapter, SolverConfig(strategy="allpar", threads=threads),
+        recorder=lambda i, old, new: changes.append((i, old, new)),
+    )
+    assert all(new < old for _i, old, new in changes)
+    assert result.stats.failed_replaces == 0
+    if threads == 1:
+        assert len(changes) == result.stats.advances > 0
+    else:
+        replay = adapter.init_state().values.snapshot()
+        for i, old, new in changes:
+            assert replay[i] == old
+            replay[i] = new
+        assert changes and replay == result.solution.tolist()
 
 
 def test_vector_step_survives_fast_thread_switching():
