@@ -441,7 +441,7 @@ def blocking_pairs(mprefs, wprefs, proposal_indices) -> list:
     return pairs
 
 
-def run_baseline(instance, baseline_id: str, threads: int = 1, delta=None) -> np.ndarray:
+def run_baseline(instance, baseline_id: str, threads: int = 1) -> np.ndarray:
     """Run a baseline on a generated instance."""
     if baseline_id not in BASELINES:
         raise ValueError(f"unknown baseline {baseline_id!r}")
@@ -459,7 +459,7 @@ def run_baseline(instance, baseline_id: str, threads: int = 1, delta=None) -> np
         return dijkstra_heap(instance.graph, instance.source)
     if baseline_id == "delta-stepping":
         need(GraphInstance)
-        return delta_stepping(instance.graph, instance.source, delta=delta, threads=threads)
+        return delta_stepping(instance.graph, instance.source, threads=threads)
     if baseline_id == "bfs-seq":
         need(GraphInstance)
         return bfs_seq(instance.graph, instance.source)

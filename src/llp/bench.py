@@ -107,7 +107,12 @@ def verify_spec(problem: str, rng: SplitMix64, max_size: int) -> str:
         n = rng.uniform(1, min(512, 4 * max_size))
         return f"reduce:n={n}"
     if problem == "closure":
-        # Up to 130 vertices, so rows span up to three 64-bit words.
+        # Up to 130 vertices, so rows span up to three 64-bit words.  Half
+        # the draws are sparse, so a row's check often stops past word 0
+        # while a later successor lacks bits in an earlier word.
+        if rng.below(2):
+            n = rng.uniform(min(65, max_size), min(130, max_size))
+            return f"closuredag:n={n},p=0.03"
         n = rng.uniform(1, min(130, max_size))
         return f"closuredag:n={n},p=0.2"
     if problem == "knapsack":
@@ -161,7 +166,6 @@ def run_verify(
     max_size: int = 200,
     threads: Sequence[int] = (1, 2, 4),
     adapter_factory=adapter_for,
-    tile_width: int = 256,
     echo=None,
 ) -> VerifyReport:
     """Compare every solver x thread combination against the oracle.
@@ -172,8 +176,6 @@ def run_verify(
     """
     if max_size < 2:
         raise ValueError(f"max_size must be >= 2, got {max_size}")
-    if tile_width < 1:
-        raise ValueError(f"tile_width must be >= 1, got {tile_width}")
     report = VerifyReport()
     threads = cap_threads(threads)
     for problem in problems:
@@ -191,7 +193,7 @@ def run_verify(
                     config = SolverConfig(strategy=strategy, threads=t)
                     failure = None
                     try:
-                        adapter = adapter_factory(problem, instance, tile_width=tile_width)
+                        adapter = adapter_factory(problem, instance)
                         got = run_solver(adapter, config).solution
                         if not np.array_equal(got, oracle):
                             failure = VerifyFailure(
@@ -257,11 +259,7 @@ def run_matrix(
     reps: int,
     seed: int = 0,
     delta: int = 1,
-    chunk_size: int = 64,
-    num_buckets: int = 1024,
-    tile_width: int = 256,
     baseline: Optional[str] = None,
-    baseline_delta: Optional[int] = None,
     check: bool = False,
     dump: bool = False,
 ) -> BenchReport:
@@ -280,7 +278,7 @@ def run_matrix(
     threads_list = cap_threads(threads_list)
     report = BenchReport()
     instance = generate(instance_spec, seed)
-    adapter = adapter_for(problem, instance, tile_width=tile_width)
+    adapter = adapter_for(problem, instance)
     oracle_checksum = None
     if check:
         oracle_checksum = solution_checksum(run_baseline(instance, oracle_for(problem), threads=1))
@@ -313,13 +311,7 @@ def run_matrix(
     for strategy in solvers:
         run_threads = [1] if strategy in SEQUENTIAL_STRATEGIES else threads_list
         for t in run_threads:
-            config = SolverConfig(
-                strategy=strategy,
-                threads=t,
-                delta=delta,
-                chunk_size=chunk_size,
-                num_buckets=num_buckets,
-            )
+            config = SolverConfig(strategy=strategy, threads=t, delta=delta)
             for rep in range(reps):
                 t0 = time.perf_counter_ns()
                 result = run_solver(adapter, config)
@@ -341,7 +333,7 @@ def run_matrix(
         for t in base_threads:
             for rep in range(reps):
                 t0 = time.perf_counter_ns()
-                solution = run_baseline(instance, baseline, threads=t, delta=baseline_delta)
+                solution = run_baseline(instance, baseline, threads=t)
                 elapsed = time.perf_counter_ns() - t0
                 record(f"baseline:{baseline}", "-", t, rep, elapsed, solution, (0, 0))
 

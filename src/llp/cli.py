@@ -7,6 +7,9 @@ Examples::
         --solvers ptwb,swb,buckets --baseline delta-stepping \\
         --threads 1,2,4,8 --reps 5 --delta 8 --csv out.csv
 
+``--delta`` is the one tuning flag; chunk size, bucket count, knapsack
+tile width and the delta-stepping width keep the code's defaults.
+
 Exit codes: 0 success, 1 verification/check failure, 2 configuration
 error.  The environment variable ``LLP_THREADS_CAP`` bounds every thread
 count, for running the matrices on small machines.
@@ -41,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seeds", type=int, default=5, help="seeded instances per problem")
     verify.add_argument("--max-size", type=int, default=200, help="instance size ceiling")
     verify.add_argument("--threads", type=_csv_ints, default=[1, 2, 4], help="thread counts")
-    verify.add_argument("--tile-width", type=int, default=256, help="knapsack capacity strip width")
 
     run = sub.add_parser("run", help="time a solver matrix on one instance")
     run.add_argument("--problem", required=True, choices=PROBLEMS)
@@ -51,11 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threads", type=_csv_ints, default=[1], help="thread counts")
     run.add_argument("--reps", type=int, default=3)
     run.add_argument("--delta", type=int, default=1, help="bucket width for the buckets solver")
-    run.add_argument("--chunk-size", type=int, default=64, help="chunk size for ptcf")
-    run.add_argument("--num-buckets", type=int, default=1024)
-    run.add_argument("--tile-width", type=int, default=256, help="knapsack capacity strip width")
     run.add_argument("--baseline", choices=BASELINES, help="comparison baseline for the summary")
-    run.add_argument("--baseline-delta", type=int, help="delta-stepping bucket width override")
     run.add_argument("--check", action="store_true", help="verify every checksum against the oracle")
     run.add_argument("--csv", dest="csv_path", help="write the report to this file")
     run.add_argument("--dump-solution", dest="dump_path", help="write full solution vectors")
@@ -77,7 +75,6 @@ def _cmd_verify(args) -> int:
             seeds=args.seeds,
             max_size=args.max_size,
             threads=args.threads,
-            tile_width=args.tile_width,
             echo=lambda msg: print(msg, file=sys.stderr),
         )
     except ValueError as exc:
@@ -102,11 +99,7 @@ def _cmd_run(args) -> int:
             reps=args.reps,
             seed=args.seed,
             delta=args.delta,
-            chunk_size=args.chunk_size,
-            num_buckets=args.num_buckets,
-            tile_width=args.tile_width,
             baseline=args.baseline,
-            baseline_delta=args.baseline_delta,
             check=args.check,
             dump=args.dump_path is not None,
         )

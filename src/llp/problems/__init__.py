@@ -24,7 +24,7 @@ INSTANCE_KIND = {
 }
 
 
-def adapter_for(problem: str, instance, *, tile_width: int = 256):
+def adapter_for(problem: str, instance):
     """Build the adapter for ``problem`` over a generated instance."""
     expected = INSTANCE_KIND.get(problem)
     if expected is None:
@@ -47,7 +47,7 @@ def adapter_for(problem: str, instance, *, tile_width: int = 256):
     if problem == "closure":
         return TransitiveClosure(instance.graph)
     if problem == "knapsack":
-        return Knapsack(instance.weights, instance.values, instance.capacity, tile_width)
+        return Knapsack(instance.weights, instance.values, instance.capacity)
     raise ValueError(f"unknown problem {problem!r}")
 
 

@@ -55,8 +55,8 @@ WORKLISTS = {
     "allpar": ("null", None),
     "swb": ("swb", lambda c: SharedBag()),
     "ptwb": ("ptwb", lambda c: PerThreadBag(c.threads)),
-    "ptcf": ("ptcf", lambda c: ChunkedFifo(c.threads, chunk_size=c.chunk_size)),
-    "buckets": ("buckets", lambda c: BucketQueue(c.threads, num_buckets=c.num_buckets, delta=c.delta)),
+    "ptcf": ("ptcf", lambda c: ChunkedFifo(c.threads)),
+    "buckets": ("buckets", lambda c: BucketQueue(c.threads, delta=c.delta)),
 }
 STRATEGIES = tuple(WORKLISTS)
 SEQUENTIAL_STRATEGIES = ("cyclic", "bag")
@@ -68,8 +68,6 @@ class SolverConfig:
     strategy: str = "bag"
     threads: int = 1
     delta: int = 1
-    chunk_size: int = 64
-    num_buckets: int = 1024
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -78,8 +76,8 @@ class SolverConfig:
             raise ValueError("threads must be >= 1")
         if self.strategy in SEQUENTIAL_STRATEGIES and self.threads != 1:
             raise ValueError(f"strategy {self.strategy!r} is single-thread only")
-        if self.delta < 1 or self.chunk_size < 1 or self.num_buckets < 1:
-            raise ValueError("delta, chunk_size and num_buckets must be >= 1")
+        if self.delta < 1:
+            raise ValueError("delta must be >= 1")
 
 
 @dataclass
@@ -195,7 +193,6 @@ def _pool_worker(problem, state, worklist, slot, stop):
 def _run_pool(problem: Problem, state: GlobalState, worklist: Worklist, threads: int) -> None:
     """Seed the worklist and drain it; a failing worker stops its peers."""
     problem.push_initial(state, worklist)
-    worklist.seal_pending()
     stop = threading.Event()
     _run_workers(threads, lambda slot: _pool_worker(problem, state, worklist, slot, stop), stop.set)
 

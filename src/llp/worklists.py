@@ -21,10 +21,9 @@ writes only how it stores a batch and how it pops.
 
 Pushes and pops on :class:`collections.deque` are GIL-atomic, so the
 deque-based queues never block; pushes and finish reports take the
-token's short lock (and an unbound push into a chunk pool one more), and
-their pops take no lock.  :class:`PerThreadBag` keeps priority bins,
-which are not atomic, so its pushes and pops also hold the lock of the
-bin set they touch.
+token's short lock, and their pops take no lock.  :class:`PerThreadBag`
+keeps priority bins, which are not atomic, so its pushes and pops also
+hold the lock of the bin set they touch.
 """
 
 from __future__ import annotations
@@ -101,9 +100,6 @@ class Worklist:
     def bind(self, slot: int) -> None:
         """Associate the calling thread with a worker slot (if relevant)."""
 
-    def seal_pending(self) -> None:
-        """Flush externally-buffered pushes (called after initial seeding)."""
-
 
 class NullWorklist(Worklist):
     """Discards pushes; used by scan-based solvers that never pop."""
@@ -112,8 +108,7 @@ class NullWorklist(Worklist):
         pass
 
     def push_all(self, items: Iterable[WorkItem]) -> None:
-        for _ in items:
-            pass
+        pass
 
     def pop(self) -> Optional[WorkItem]:
         return None
@@ -321,11 +316,13 @@ def _lowest(bag: SeqBag) -> float:
 class ChunkedFifo(CountedWorklist):
     """Per-worker chunk accumulation over a global chunk pool (PTCF).
 
-    Pushes fill the caller's open chunk; a chunk is sealed into the
-    shared pool once it reaches ``chunk_size``.  Pops drain the worker's
-    active chunk, then acquire a sealed chunk from the pool, and as a
-    last resort drain the worker's own partially-filled open chunk so no
-    item is ever stranded behind an unsealed boundary.
+    A worker's pushes fill its open chunk; a chunk is sealed into the
+    shared pool once it reaches ``chunk_size``.  An unbound batch (the
+    seeds) is sealed whole, cut into chunks with a partial last one.
+    Pops drain the worker's active chunk, then acquire a sealed chunk
+    from the pool, and as a last resort drain the worker's own
+    partially-filled open chunk so no item is ever stranded behind an
+    unsealed boundary.
     """
 
     def __init__(self, workers: int = 1, chunk_size: int = 64):
@@ -336,31 +333,20 @@ class ChunkedFifo(CountedWorklist):
         self._pool = deque()
         self._open = [[] for _ in range(workers)]
         self._active = [deque() for _ in range(workers)]
-        self._ext_lock = threading.Lock()
-        self._ext_open = []
-
-    def _fill(self, chunk: list, batch: list) -> list:
-        """Append ``batch`` to ``chunk``, sealing each full chunk; returns the open one."""
-        for item in batch:
-            chunk.append(item)
-            if len(chunk) >= self.chunk_size:
-                self._pool.append(chunk)
-                chunk = []
-        return chunk
 
     def _put(self, batch: list) -> None:
+        size = self.chunk_size
         slot = self._slot()
         if slot is None:
-            with self._ext_lock:
-                self._ext_open = self._fill(self._ext_open, batch)
-        else:
-            self._open[slot] = self._fill(self._open[slot], batch)
-
-    def seal_pending(self) -> None:
-        with self._ext_lock:
-            if self._ext_open:
-                self._pool.append(self._ext_open)
-                self._ext_open = []
+            self._pool.extend(batch[i : i + size] for i in range(0, len(batch), size))
+            return
+        chunk = self._open[slot]
+        for item in batch:
+            chunk.append(item)
+            if len(chunk) >= size:
+                self._pool.append(chunk)
+                chunk = []
+        self._open[slot] = chunk
 
     def pop(self) -> Optional[WorkItem]:
         slot = self._slot()

@@ -57,7 +57,6 @@ def test_non_integer_threads_cap_is_a_configuration_error(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--problems", "knapsack", "--tile-width", "0"], "tile_width must be >= 1, got 0"),
         (["--problems", "sssp", "--max-size", "1"], "max_size must be >= 2, got 1"),
     ],
 )
@@ -89,10 +88,10 @@ class _InvertedShortestPaths(ShortestPaths):
 
 
 def test_run_verify_flags_broken_adapter():
-    def broken_factory(problem, instance, tile_width=256):
+    def broken_factory(problem, instance):
         if problem == "sssp":
             return _InvertedShortestPaths(instance.graph, instance.source)
-        return adapter_for(problem, instance, tile_width=tile_width)
+        return adapter_for(problem, instance)
 
     report = run_verify(["sssp"], seeds=1, max_size=20, threads=(1,), adapter_factory=broken_factory)
     assert not report.ok
@@ -113,15 +112,48 @@ class _FirstWordClosure(TransitiveClosure):
 
 
 def test_run_verify_reaches_multi_word_closure_rows():
-    def broken_factory(problem, instance, tile_width=256):
+    def broken_factory(problem, instance):
         if problem == "closure":
             return _FirstWordClosure(instance.graph)
-        return adapter_for(problem, instance, tile_width=tile_width)
+        return adapter_for(problem, instance)
 
     report = run_verify(["closure"], seeds=3, threads=(1,), adapter_factory=broken_factory)
     assert not report.ok
     assert {strategy for (_problem, strategy), (_ok, bad) in report.per_cell.items() if bad} == set(STRATEGIES)
     assert all("divergent index" in failure.detail for failure in report.failures)
+
+
+class _StartWordClosure(TransitiveClosure):
+    """Negative control: an advancement that resumes every successor at the check's word."""
+
+    def apply(self, state, u, stop, worklist):
+        values = state.values
+        cells = values.cells()
+        wpr = self.words_per_row
+        changed = False
+        for w in self._succ[u][stop // wpr :]:
+            for b in range(stop % wpr, wpr):
+                missing = cells[w * wpr + b] & ~cells[u * wpr + b]
+                if missing:
+                    values.fetch_or(u * wpr + b, missing)
+                    changed = True
+        if changed:
+            worklist.push_all((x, 0) for x in self._pred[u])
+        return changed
+
+
+def test_run_verify_reaches_resumed_closure_rows():
+    def broken_factory(problem, instance):
+        if problem == "closure":
+            return _StartWordClosure(instance.graph)
+        return adapter_for(problem, instance)
+
+    report = run_verify(["closure"], seeds=10, threads=(1,), adapter_factory=broken_factory)
+    # A popping strategy checks the short-advanced row only if something
+    # pushes it again; cyclic and allpar re-check every row next pass.
+    flagged = {strategy for (_problem, strategy), (_ok, bad) in report.per_cell.items() if bad}
+    assert flagged == {"bag", "swb", "ptwb", "ptcf", "buckets"}
+    assert all("still forbidden after the solve" in failure.detail for failure in report.failures)
 
 
 def test_run_matrix_rows_and_summary(tmp_path):

@@ -415,7 +415,12 @@ def test_knapsack_oracle_suite_row_dp():
         return f"knap:n={r.uniform(1, 64)},cap={cap},wmax={max(1, cap // 2)},vmax=60"
 
     for inst, got in _suite("knapsack", spec):
-        assert np.array_equal(got, dp_row_knapsack(inst.weights, inst.values, inst.capacity))
+        want = dp_row_knapsack(inst.weights, inst.values, inst.capacity)
+        assert np.array_equal(got, want)
+        # 16-wide strips: rows span many tiles, and the take path crosses them.
+        strips = Knapsack(inst.weights, inst.values, inst.capacity, tile_width=16)
+        for strategy in STRATEGIES:
+            assert np.array_equal(solve(strips, strategy=strategy), want), strategy
 
 
 def _best_subset_value(weights, values, capacity):
@@ -506,7 +511,11 @@ CHECK_SPECS = [
 def _mid_solve_states(problem, spec, seed, draws=6):
     rng = SplitMix64(0xC4EC ^ seed)
     for draw in range(draws):
-        adapter = adapter_for(problem, generate(spec, 10 * seed + draw), tile_width=16)
+        inst = generate(spec, 10 * seed + draw)
+        if problem == "knapsack":
+            adapter = Knapsack(inst.weights, inst.values, inst.capacity, tile_width=16)
+        else:
+            adapter = adapter_for(problem, inst)
         state = adapter.init_state()
         bag = RandomOrderBag(seed=draw)
         adapter.push_initial(state, bag)

@@ -20,7 +20,7 @@ from llp.solvers import (
     scan_for_forbidden,
     solve,
 )
-from llp.worklists import RandomOrderBag, SeqBag
+from llp.worklists import BucketQueue, ChunkedFifo, RandomOrderBag, SeqBag
 
 EXPECTED_EXAMPLE = np.array([0, 2, 5, 3], dtype=np.uint64)
 
@@ -100,10 +100,11 @@ def test_chunk_size_never_splits_correctness():
     inst = generate("randgraph:n=70,m=180,wmax=8", 6)
     outputs = set()
     for chunk_size in (1, 16, 256):
-        got = solve(
+        got = run_solver(
             adapter_for("sssp", inst),
-            SolverConfig(strategy="ptcf", threads=4, chunk_size=chunk_size),
-        )
+            SolverConfig(strategy="ptcf", threads=4),
+            worklist=ChunkedFifo(4, chunk_size=chunk_size),
+        ).solution
         outputs.add(got.tobytes())
     assert len(outputs) == 1
 
@@ -115,10 +116,11 @@ def test_bucket_parameters_never_affect_correctness():
     outputs = set()
     for delta in (1, 3, 7, 64):
         for num_buckets in (4, 1024):
-            got = solve(
+            got = run_solver(
                 adapter_for("sssp", inst),
-                SolverConfig(strategy="buckets", threads=4, delta=delta, num_buckets=num_buckets),
-            )
+                SolverConfig(strategy="buckets", threads=4),
+                worklist=BucketQueue(4, num_buckets=num_buckets, delta=delta),
+            ).solution
             outputs.add(got.tobytes())
     assert len(outputs) == 1
 

@@ -25,6 +25,7 @@ def test_null_worklist_discards_everything():
     wl = NullWorklist()
     wl.push((3, 1))
     wl.push_all([(1, 0), (2, 0)])
+    wl.push_all((1 // 0, 0) for _ in range(1))  # dropped without being iterated
     assert wl.pop() is None
 
 
@@ -188,16 +189,17 @@ def test_chunked_fifo_seals_and_recovers_partial_chunks():
     assert wl.quiescent()
 
 
-def test_chunked_fifo_external_seed_then_seal():
-    wl = ChunkedFifo(workers=1, chunk_size=64)
-    wl.push_all([(i, 0) for i in range(5)])  # unbound: buffered externally
-    wl.seal_pending()
+def test_chunked_fifo_unbound_seeds_pop_in_order():
+    wl = ChunkedFifo(workers=1, chunk_size=3)
+    wl.push_all([(i, 0) for i in range(7)])  # unbound: sealed whole, last chunk partial
+    assert [len(chunk) for chunk in wl._pool] == [3, 3, 1]
     wl.bind(0)
-    got = [wl.pop()[0] for _ in range(5)]
-    for _ in got:
+    got = []
+    while (item := wl.pop()) is not None:
+        got.append(item[0])
         wl.task_done()
-    assert got == list(range(5))
-    assert wl.pop() is None
+    assert got == list(range(7))
+    assert wl.quiescent()
 
 
 def test_chunked_fifo_rejects_bad_chunk_size():
@@ -213,7 +215,6 @@ def test_quiescence_all_counters_zero():
 def test_quiescence_blocks_on_in_flight_item():
     for wl in (SharedBag(), PerThreadBag(), ChunkedFifo(), BucketQueue()):
         wl.push((0, 0))
-        wl.seal_pending()
         assert wl.pop() == (0, 0)  # popped but still processing
         assert wl.pop() is None
         assert wl.quiescent() is False
@@ -225,7 +226,6 @@ def test_quiescence_blocks_on_in_flight_item():
 def test_task_done_many_reports_a_count_at_once(factory):
     wl = factory()
     wl.push_all([(0, 0), (1, 0), (2, 0)])
-    wl.seal_pending()
     assert None not in [wl.pop() for _ in range(3)] and wl.pop() is None
     wl.task_done_many(2)
     assert wl.quiescent() is False and wl.token.outstanding == 1
@@ -274,7 +274,6 @@ def test_no_worker_exits_while_items_remain(factory):
     # pushes two children.  All pushed items must be drained exactly.
     wl = factory()
     wl.push_all([(1, 0)])
-    wl.seal_pending()
     counter_lock = threading.Lock()
     processed = [0]
     errors = []
@@ -324,7 +323,6 @@ def test_outstanding_counter_survives_fast_thread_switching(factory):
     # processed) or never let it reach zero (workers still alive).
     wl = factory()
     wl.push((1, 0))
-    wl.seal_pending()
     counter_lock = threading.Lock()
     processed = [0]
     errors = []
