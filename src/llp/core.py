@@ -347,7 +347,13 @@ class Problem:
         raise NotImplementedError
 
     def push_initial(self, state: GlobalState, worklist) -> None:
-        """Push the work items that may be forbidden at the start."""
+        """Push the work items that may be forbidden at the start.
+
+        Every index forbidden in ``init_state`` must be the index of some
+        pushed item: popping strategies start from these items, and
+        ``allpar``'s vector step checks exactly their indices in its first
+        pass.
+        """
         raise NotImplementedError
 
     def witness(self, state: GlobalState, index: int):

@@ -7,19 +7,22 @@ passes until a pass advances nothing; the others pop a worklist until
 it is quiescent.  ``allpar`` over an adapter with a vector step
 (``Problem.ensure_batch``) checks only the changed frontier of each
 range per pass, in one batch, against one numpy array of the state that
-each worker advances in place for its own range; the cells take it once
-the passes end.  One harness starts, joins and reports the errors of
-every strategy's workers.  After any solve, a full scan asserts that no
-index is forbidden before the solution is extracted: one vector check
-(``Problem.forbidden_batch``) over all indices where the adapter has
-one, else ``is_forbidden`` index by index.
+each worker advances in place for its own range; the frontier starts
+from the adapter's seeds (``Problem.push_initial``), and the cells
+take the array once the passes end.  One harness starts, joins and
+reports the errors of every strategy's workers.  After any solve, a
+full scan asserts that no index is forbidden before the solution is
+extracted: one vector check (``Problem.forbidden_batch``) over all
+indices where the adapter has one, else ``is_forbidden`` index by
+index.
 
 Strategies
 ----------
 ``cyclic``   single thread, repeated descending passes over all indices
 ``bag``      single thread, seeded bag popping the lowest priority first
 ``allpar``   thread pool, repeated parallel passes over static ranges,
-             bulk-synchronous batches where the adapter has a vector step
+             bulk-synchronous batches from the seeds where the adapter
+             has a vector step
 ``swb``      thread pool over one shared FIFO bag
 ``ptwb``     thread pool over per-thread priority bins with work stealing
 ``ptcf``     thread pool over per-thread chunked FIFOs
@@ -98,17 +101,21 @@ def scan_for_forbidden(problem: Problem, state: GlobalState) -> Optional[int]:
     return None
 
 
-def _finish(problem: Problem, state: GlobalState) -> SolveResult:
+def _finish(
+    problem: Problem, state: GlobalState, values: Optional[np.ndarray] = None
+) -> SolveResult:
     """Certify that no index is forbidden, then extract the solution.
 
-    An adapter with a vector check runs it once over every index, on one
-    read of the cells; it reports the forbidden indices in order, so the
-    first is the one ``scan_for_forbidden`` would return.
+    An adapter with a vector check runs it once over every index, on
+    ``values`` (an array equal to the cells) or else one read of the
+    cells; it reports the forbidden indices in order, so the first is the
+    one ``scan_for_forbidden`` would return.
     """
     if problem.forbidden_batch is None:
         bad = scan_for_forbidden(problem, state)
     else:
-        values = state.values.to_numpy()
+        if values is None:
+            values = state.values.to_numpy()
         forbidden, _witnesses = problem.forbidden_batch(values, np.arange(problem.size))
         bad = int(forbidden[0]) if len(forbidden) else None
     if bad is not None:
@@ -246,35 +253,53 @@ def _run_scan(problem: Problem, state: GlobalState, ranges: list) -> None:
     _run_passes(state, [partial(sweep, r) for r in ranges])
 
 
+class _SeedIndices(Worklist):
+    """Keeps only the index of each item pushed to it, in ``indices``."""
+
+    def __init__(self):
+        self.indices = []
+
+    def push(self, item) -> None:
+        self.indices.append(item[0])
+
+
 def _run_batches(
     problem: Problem, state: GlobalState, ranges: list, recorder: Optional[Recorder]
-) -> None:
+) -> np.ndarray:
     """Run ``ensure_batch`` over each range's changed frontier, one worker per range.
 
     ``d`` is the state of the solve: one read of the cells, then each
     batch advances its own indices in ``d`` in place, and the cells take
-    ``d`` in one store after the last pass.  This is sound because only
-    v's range owner writes ``d[v]``, and only downward, so a worker reads
-    its own indices exactly and a peer may read ``d[v]`` stale-high,
-    never below.  A peer that reads ``d[v]`` stale-high read it before
-    the owner's write, and it cleared its own bits before that read; the
-    owner's wake, computed after the write, therefore lands after the
-    clear, and the peer checks again next pass.
+    ``d`` in one store after the last pass.  ``d`` is returned, and
+    ``_finish`` certifies it, equal to the cells, without a second read.
+    This is sound because only v's range owner writes ``d[v]``, and only
+    downward, so a worker reads its own indices exactly and a peer may
+    read ``d[v]`` stale-high, never below.  A peer that reads ``d[v]``
+    stale-high read it before the owner's write, and it cleared its own
+    bits before that read; the owner's wake, computed after the write,
+    therefore lands after the clear, and the peer checks again next pass.
 
-    ``dirty`` marks the indices to check next pass; pass 1 checks all.
-    The frontier is sound: an index left clean was not forbidden at its
-    last check, and none of its inputs has changed since, because every
-    write wakes the indices whose check it may change (a wake that reads
-    a peer's index stale-high can only wake more).  A worker clears its
-    indices' bits *before* its batch reads ``d``, so a write that races
-    that read sets its targets' bits after the clear, and they are
-    checked next pass.  An empty frontier is therefore a fixed point;
-    the post-solve scan certifies it all the same, against the cells.
+    ``dirty`` marks the indices to check next pass; pass 1 checks the
+    seeds, the indices of the items ``push_initial`` pushes, which are
+    all that may be forbidden at the start.  The frontier is sound: an
+    index left clean was not forbidden at its last check, or at the start
+    if it was never checked, and none of its inputs has changed since,
+    because every write wakes the indices whose check it may change (a
+    wake that reads a peer's index stale-high can only wake more).  A
+    worker clears its indices' bits *before* its batch reads ``d``, so a
+    write that races that read sets its targets' bits after the clear,
+    and they are checked next pass.  An empty frontier is therefore a
+    fixed point; the post-solve scan certifies it all the same, over
+    every index, so an adapter that seeds too few indices fails with
+    ``IncompleteSolveError``, never a wrong vector.
 
     With a ``recorder``, each sweep reports every change its batch made
     to ``d`` as ``(index, old, new)``, from the thread that made it.
     """
-    dirty = np.ones(problem.size, dtype=bool)
+    seeds = _SeedIndices()
+    problem.push_initial(state, seeds)
+    dirty = np.zeros(problem.size, dtype=bool)
+    dirty[np.array(seeds.indices, dtype=np.int64)] = True
     d = state.values.to_numpy()
     ensure_batch = problem.ensure_batch
 
@@ -290,6 +315,7 @@ def _run_batches(
 
     _run_passes(state, [partial(sweep, r) for r in ranges])
     state.values.store_all(d)
+    return d
 
 
 def run_solver(
@@ -308,6 +334,7 @@ def run_solver(
     state = problem.init_state(recorder=recorder)
     strategy = config.strategy
     n = problem.size
+    values = None
     if strategy == "cyclic":
         # Descending passes: an ascending pass would settle cascading chains
         # in a single sweep, hiding exactly the redundant re-examination this
@@ -319,14 +346,14 @@ def run_solver(
         step = (n + threads - 1) // threads
         ranges = [range(i * step, min(n, (i + 1) * step)) for i in range(threads)]
         if problem.ensure_batch is not None:
-            _run_batches(problem, state, ranges, recorder)
+            values = _run_batches(problem, state, ranges, recorder)
         else:
             _run_scan(problem, state, ranges)
     else:
         if worklist is None:
             worklist = WORKLISTS[strategy][1](config)
         _run_pool(problem, state, worklist, config.threads)
-    return _finish(problem, state)
+    return _finish(problem, state, values)
 
 
 def solve(problem: Problem, config: Optional[SolverConfig] = None, **kwargs) -> np.ndarray:

@@ -138,12 +138,15 @@ def test_state_selection_chain_work_gap():
 @pytest.mark.parametrize("strategy", ["cyclic", "allpar"])
 def test_scan_stops_after_first_pass_that_finds_nothing(strategy):
     # The source is the chain's last vertex, which has no out-arc, so the
-    # initial state is already the fixed point: one pass checks each
-    # vertex once and proves it.
+    # initial state is already the fixed point: one pass proves it.
+    # cyclic's pass checks each vertex once.  allpar's vector step checks
+    # the seeds in its first pass, and push_initial pushes nothing for a
+    # source without out-arcs, so that pass checks an empty frontier.
     inst = generate("chain:50", 0)
     adapter = ShortestPaths(inst.graph, source=49)
     result = run_solver(adapter, SolverConfig(strategy=strategy, threads=1))
-    assert result.stats.predicate_evals == adapter.size
+    assert result.stats.predicate_evals == (adapter.size if strategy == "cyclic" else 0)
+    assert result.stats.passes == 1
     assert result.stats.advances == 0
 
 
@@ -174,25 +177,51 @@ class _StuckPaths(ShortestPaths):
         return np.append(wake, 1)  # keeps the frontier from emptying
 
 
-@pytest.mark.parametrize("strategy,threads", [("cyclic", 1), ("allpar", 1), ("allpar", 3)])
-def test_scan_ends_when_a_check_never_clears(strategy, threads):
-    # A pass that advances nothing would repeat forever; the scan stops
-    # after it and the post-solve scan reports the stuck vertex.
-    adapter = _StuckPaths(generate("chain:8", 0).graph, source=0)
+def _incomplete_index(adapter, config):
+    """Solve on a daemon thread; the index of the ``IncompleteSolveError`` it must raise."""
     outcome = []
 
     def run():
         try:
-            solve(adapter, SolverConfig(strategy=strategy, threads=threads))
+            outcome.append(solve(adapter, config))
         except Exception as exc:  # reported by the test, not by the thread
             outcome.append(exc)
 
     worker = threading.Thread(target=run, daemon=True)
     worker.start()
     worker.join(timeout=20)
-    assert not worker.is_alive(), "the scan never ended"
+    assert not worker.is_alive(), "the solve never ended"
     assert len(outcome) == 1 and isinstance(outcome[0], IncompleteSolveError), outcome
-    assert outcome[0].index == 1
+    return outcome[0].index
+
+
+@pytest.mark.parametrize("strategy,threads", [("cyclic", 1), ("allpar", 1), ("allpar", 3)])
+def test_scan_ends_when_a_check_never_clears(strategy, threads):
+    # A pass that advances nothing would repeat forever; the scan stops
+    # after it and the post-solve scan reports the stuck vertex.
+    adapter = _StuckPaths(generate("chain:8", 0).graph, source=0)
+    assert _incomplete_index(adapter, SolverConfig(strategy=strategy, threads=threads)) == 1
+
+
+class _UnseededPaths(ShortestPaths):
+    """Negative control: seeds nothing, although the source's out-neighbours are forbidden."""
+
+    def push_initial(self, state, worklist):
+        pass
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_allpar_that_seeds_nothing_is_caught(threads):
+    # allpar's vector step checks the seeds in its first pass, so with no
+    # seed that pass checks nothing and advances nothing, and the scan
+    # stops.  The post-solve scan checks every vertex and reports the
+    # first forbidden one: the least out-neighbour of the source.
+    inst = generate("randgraph:n=300,m=900,wmax=20", 4)
+    adapter = _UnseededPaths(inst.graph, inst.source)
+    firsts = sorted(x for x, _w in adapter._out[inst.source] if x != inst.source)
+    assert firsts, "the source needs an out-arc"
+    got = _incomplete_index(adapter, SolverConfig(strategy="allpar", threads=threads))
+    assert got == firsts[0]
 
 
 class _ScalarCertifiedPaths(ShortestPaths):
@@ -261,9 +290,9 @@ WORK_GUARD_SPEC = "randgraph:n=1500,m=6000,wmax=100"
     ("bfs", "bag", "predicate_evals", 5),
     ("bfs", "ptwb", "predicate_evals", 5),
     ("bfs", "allpar", "predicate_evals", 5),
-    ("bfs", "allpar", "predicate_evals", 2.5),
+    ("bfs", "allpar", "predicate_evals", 1.05),
     ("bfs", "allpar", "advances", 1.0),
-    ("sssp", "allpar", "predicate_evals", 5),
+    ("sssp", "allpar", "predicate_evals", 3.2),
 ])
 def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
     # Deterministic at one thread.  Pushing every out-neighbour instead of
@@ -277,12 +306,14 @@ def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
     # evaluations per vertex.  allpar's vector step checks only the
     # changed frontier: scanning all vertices per pass instead costs 5.0
     # BFS evaluations and 1.39 advances, and 9.0 SSSP evaluations, per
-    # vertex.  Checking every popped item instead of dropping the stale
-    # ones by their key costs 4.00 evaluations per vertex on SSSP bag,
-    # ptwb and buckets and on every popping BFS strategy, and 6.42 on
-    # SSSP swb and ptcf.  Pushing x whenever the candidate beats d(x),
-    # instead of only below the least candidate already offered to x,
-    # costs 3.00 stale drops per vertex on SSSP and BFS bag and ptwb.
+    # vertex; a first pass over every vertex instead of the seeds costs
+    # 1.995 BFS and 4.117 SSSP evaluations per vertex.  Checking every
+    # popped item instead of dropping the stale ones by their key costs
+    # 4.00 evaluations per vertex on SSSP bag, ptwb and buckets and on
+    # every popping BFS strategy, and 6.42 on SSSP swb and ptcf.  Pushing
+    # x whenever the candidate beats d(x), instead of only below the least
+    # candidate already offered to x, costs 3.00 stale drops per vertex on
+    # SSSP and BFS bag and ptwb.
     inst = generate(WORK_GUARD_SPEC, 1)
     result = run_solver(adapter_for(problem, inst), SolverConfig(strategy=strategy, threads=1))
     count = getattr(result.stats, counter)
