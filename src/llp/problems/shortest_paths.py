@@ -40,6 +40,11 @@ class ShortestPaths(Problem):
     d(x) <= c is stale and ``is_stale`` drops it unchecked, as Dijkstra's
     lazy deletion does.
 
+    The scalar loops read flat views built once per direction: the CSR
+    offsets and the arcs in CSR order as plain lists, so v's in-arcs are
+    ``_in[_in_offs[v] : _in_offs[v + 1]]``.  Each SSSP arc is a (target,
+    weight) pair; a BFS arc is its target.
+
     ``forbidden_batch`` is the same check for many vertices at once, over
     numpy gathers of the CSR arcs, with each forbidden vertex's best
     candidate as its witness.  ``ensure_batch`` writes those candidates
@@ -48,8 +53,6 @@ class ShortestPaths(Problem):
     """
 
     lattice = "min"
-    # Plain-list adjacency, (target, weight) pairs: these loops dominate solve time.
-    _adjacency = staticmethod(CsrGraph.adjacency_lists)
 
     def __init__(self, graph: CsrGraph, source: int = 0):
         if not 0 <= source < graph.num_vertices:
@@ -58,8 +61,14 @@ class ShortestPaths(Problem):
         self.source = source
         self.size = graph.num_vertices
         self._rev = graph.reversed()
-        self._out = self._adjacency(graph)
-        self._in = self._adjacency(self._rev)
+        self._out_offs = graph.offsets.tolist()
+        self._out = self._scalar_arcs(graph)
+        self._in_offs = self._rev.offsets.tolist()
+        self._in = self._scalar_arcs(self._rev)
+
+    def _scalar_arcs(self, graph: CsrGraph) -> list:
+        # Plain-list arcs, (target, weight) pairs: these loops dominate solve time.
+        return list(zip(graph._target_objects(), graph.weights.tolist()))
 
     def init_state(self, recorder=None) -> GlobalState:
         values = [INF] * self.size
@@ -67,7 +76,8 @@ class ShortestPaths(Problem):
         return GlobalState(values, recorder=recorder)
 
     def push_initial(self, state: GlobalState, worklist) -> None:
-        worklist.push_all((v, 0) for v, _w in self._out[self.source])
+        offsets, s = self.graph.offsets, self.source
+        worklist.push_all((v, 0) for v in self.graph.targets[offsets[s] : offsets[s + 1]].tolist())
 
     def is_stale(self, state: GlobalState, item) -> bool:
         # Sound: if x is forbidden through its in-neighbour u, then some item
@@ -83,7 +93,8 @@ class ShortestPaths(Problem):
     def _push_improved(self, offered: list, v: int, d: int, worklist) -> None:
         # No saturating add: a sum at or above INF never beats an offer.
         items = []
-        for x, w in self._out[v]:
+        offs = self._out_offs
+        for x, w in self._out[offs[v] : offs[v + 1]]:
             c = d + w
             if c < offered[x]:
                 offered[x] = c
@@ -99,7 +110,8 @@ class ShortestPaths(Problem):
         # INF plus a weight exceeds INF and never wins, so unreached
         # neighbours need no special case.
         best = INF
-        for u, w in self._in[v]:
+        offs = self._in_offs
+        for u, w in self._in[offs[v] : offs[v + 1]]:
             cand = cells[u] + w
             if cand < best:
                 best = cand
@@ -126,16 +138,25 @@ class ShortestPaths(Problem):
         return graph.weights[arcs]
 
     def forbidden_batch(self, values: np.ndarray, indices: np.ndarray):
-        rev = self._rev
-        v = indices[(indices != self.source) & (rev.offsets[indices + 1] > rev.offsets[indices])]
+        offsets = self._rev.offsets
+        if len(indices) == self.size and (indices[1:] > indices[:-1]).all():
+            # Every index, ascending: reduce over all of _rev's arcs in
+            # place.  Skipping only the rows without arcs keeps each kept
+            # row's segment contiguous, so the source's row is reduced
+            # too and dropped below.
+            v = np.flatnonzero(offsets[1:] > offsets[:-1])
+            arcs, starts = slice(None), offsets[v]
+        else:
+            v = indices[offsets[indices + 1] > offsets[indices]]
+            arcs, counts = _row_arcs(offsets, v)
+            starts = np.cumsum(counts) - counts
         if not len(v):
             return v, values[:0]
-        arcs, counts = _row_arcs(rev.offsets, v)
-        w = self._arc_weights(rev, arcs)
+        w = self._arc_weights(self._rev, arcs)
         # Saturating, so exact at INF: min(d, INF - w) + w never wraps.
-        cand = np.minimum(values[rev.targets[arcs]], INF - w) + w
-        best = np.minimum.reduceat(cand, np.cumsum(counts) - counts)
-        forbidden = best < values[v]
+        cand = np.minimum(values[self._rev.targets[arcs]], INF - w) + w
+        best = np.minimum.reduceat(cand, starts)
+        forbidden = (best < values[v]) & (v != self.source)
         return v[forbidden], best[forbidden]
 
     def ensure_batch(self, state: GlobalState, indices: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -171,15 +192,14 @@ class BreadthFirstLevels(ShortestPaths):
     each keyed by its candidate level d + 1.
     """
 
-    _adjacency = staticmethod(CsrGraph.successor_lists)
-
-    def push_initial(self, state: GlobalState, worklist) -> None:
-        worklist.push_all((v, 0) for v in self._out[self.source])
+    def _scalar_arcs(self, graph: CsrGraph) -> list:
+        return graph._target_objects()
 
     def _push_improved(self, offered: list, v: int, d: int, worklist) -> None:
         cand = d + 1
         items = []
-        for x in self._out[v]:
+        offs = self._out_offs
+        for x in self._out[offs[v] : offs[v + 1]]:
             if cand < offered[x]:
                 offered[x] = cand
                 items.append((x, cand))
@@ -194,7 +214,8 @@ class BreadthFirstLevels(ShortestPaths):
             return None
         cells = state.values.cells()
         best = INF
-        for u in self._in[v]:
+        offs = self._in_offs
+        for u in self._in[offs[v] : offs[v + 1]]:
             d = cells[u]
             if d < best:
                 best = d

@@ -142,15 +142,16 @@ def test_forbidden_batch_agrees_with_is_forbidden(adapter_class, seed):
         state = GlobalState(cells)
         order = list(range(n))
         rng.shuffle(order)
-        indices = np.array(order[: rng.uniform(0, n)], dtype=np.int64)
-        forbidden, witnesses = adapter.forbidden_batch(values, indices)
-        assert forbidden.tolist() == [v for v in indices.tolist() if adapter.is_forbidden(state, v)], draw
-        assert values.tolist() == cells and state.values.snapshot() == cells
-        for v, witness in zip(forbidden.tolist(), witnesses.tolist()):
-            probe = GlobalState(cells)
-            assert adapter.advance(probe, v, SeqBag())
-            assert probe.values.load(v) == witness, (draw, v)
-        found += len(forbidden)
+        # A subset, then every index in order, which reduces over all arcs.
+        for indices in (np.array(order[: rng.uniform(0, n)], dtype=np.int64), np.arange(n)):
+            forbidden, witnesses = adapter.forbidden_batch(values, indices)
+            assert forbidden.tolist() == [v for v in indices.tolist() if adapter.is_forbidden(state, v)], draw
+            assert values.tolist() == cells and state.values.snapshot() == cells
+            for v, witness in zip(forbidden.tolist(), witnesses.tolist()):
+                probe = GlobalState(cells)
+                assert adapter.advance(probe, v, SeqBag())
+                assert probe.values.load(v) == witness, (draw, v)
+            found += len(forbidden)
     assert found > 0
 
 
@@ -203,13 +204,43 @@ def test_edge_graphs_match_the_oracle(adapter_class, oracle, strategy):
             assert np.array_equal(got, want), (graph.num_vertices, t)
 
 
-def test_bfs_adjacency_matches_the_weighted_lists():
-    # Arc targets in CSR order, duplicates and empty rows included.
+def test_scalar_rows_match_the_adjacency_lists():
+    # Each vertex's row slice of an adapter's flat arcs is its arcs in CSR
+    # order, duplicates, empty rows, zero weights and one vertex included:
+    # (target, weight) pairs for SSSP, targets for BFS.
     graph = CsrGraph.from_edges(7, [(0, 1, 1), (0, 1, 4), (1, 2, 2), (3, 1, 1), (2, 0, 5), (3, 2, 1)])
-    for g in (graph, generate("randgraph:n=300,m=900,wmax=9", 2).graph):
-        adapter = BreadthFirstLevels(g, source=0)
-        assert adapter._out == [[v for v, _w in row] for row in g.adjacency_lists()]
-        assert adapter._in == [[v for v, _w in row] for row in g.reversed().adjacency_lists()]
+    graphs = [graph, generate("randgraph:n=300,m=900,wmax=9", 2).graph] + [g for g, _s in EDGE_GRAPHS]
+    for g in graphs:
+        lists = {"out": g.adjacency_lists(), "in": g.reversed().adjacency_lists()}
+        for adapter_class, arc in ((ShortestPaths, tuple), (BreadthFirstLevels, lambda a: a[0])):
+            adapter = adapter_class(g, source=0)
+            views = {"out": (adapter._out_offs, adapter._out), "in": (adapter._in_offs, adapter._in)}
+            for direction, (offs, arcs) in views.items():
+                assert offs[-1] == len(arcs), (adapter_class, direction)
+                rows = [arcs[offs[v] : offs[v + 1]] for v in range(g.num_vertices)]
+                want = [[arc(a) for a in row] for row in lists[direction]]
+                assert rows == want, (adapter_class, direction, g.num_vertices)
+
+
+@pytest.mark.parametrize("adapter_class,oracle", [(ShortestPaths, dijkstra_heap), (BreadthFirstLevels, bfs_seq)])
+def test_adapters_build_no_per_vertex_lists(adapter_class, oracle, monkeypatch):
+    # The scalar views are flat; building the adapter or solving never
+    # asks the graph for a list per vertex.
+    inst = generate("randgraph:n=300,m=900,wmax=20", 3)
+    want = oracle(inst.graph, inst.source)
+
+    def refuse(graph):
+        raise AssertionError("per-vertex lists built")
+
+    monkeypatch.setattr(CsrGraph, "adjacency_lists", refuse)
+    monkeypatch.setattr(CsrGraph, "successor_lists", refuse)
+    adapter = adapter_class(inst.graph, inst.source)
+    # Nor does it keep a list of rows made some other way.
+    nested = [k for k, x in vars(adapter).items() if isinstance(x, list) and x and isinstance(x[0], list)]
+    assert not nested
+    for strategy in ("bag", "allpar"):
+        got = solve(adapter, SolverConfig(strategy=strategy))
+        assert np.array_equal(got, want), strategy
 
 
 def test_bfs_chain_levels():

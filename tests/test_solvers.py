@@ -218,7 +218,8 @@ def test_allpar_that_seeds_nothing_is_caught(threads):
     # first forbidden one: the least out-neighbour of the source.
     inst = generate("randgraph:n=300,m=900,wmax=20", 4)
     adapter = _UnseededPaths(inst.graph, inst.source)
-    firsts = sorted(x for x, _w in adapter._out[inst.source] if x != inst.source)
+    offsets, s = inst.graph.offsets, inst.source
+    firsts = sorted(x for x in inst.graph.targets[offsets[s] : offsets[s + 1]].tolist() if x != s)
     assert firsts, "the source needs an out-arc"
     got = _incomplete_index(adapter, SolverConfig(strategy="allpar", threads=threads))
     assert got == firsts[0]
