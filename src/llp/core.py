@@ -78,9 +78,9 @@ class AtomicU64Array:
     Loads are plain list reads (GIL-atomic).  All mutation goes through
     one of 64 striped locks, so concurrent read-modify-write operations
     on the same cell serialize and stale writes can never regress a
-    monotone cell; the one exception is ``store_all``, a bulk store made
-    while no worker runs.  An initial value outside [0, 2**64) raises
-    ``OverflowError``.
+    monotone cell.  The initial values are an iterable of ints, packed in
+    one C pass, or a uint64 numpy array, read in one ``tolist``; a value
+    outside [0, 2**64) raises ``OverflowError``.
     """
 
     __slots__ = ("_cells", "_locks", "_recorder")
@@ -88,7 +88,9 @@ class AtomicU64Array:
     _STRIPES = 64  # power of two
 
     def __init__(self, values: Iterable[int], recorder: Optional[Recorder] = None):
-        self._cells = array("Q", values).tolist()
+        if not (isinstance(values, np.ndarray) and values.dtype == np.uint64):
+            values = array("Q", values)
+        self._cells = values.tolist()
         self._locks = [threading.Lock() for _ in range(self._STRIPES)]
         self._recorder = recorder
 
@@ -108,14 +110,6 @@ class AtomicU64Array:
 
     def snapshot(self) -> list:
         return list(self._cells)
-
-    def store_all(self, values: np.ndarray) -> None:
-        """Overwrite every cell with the uint64 array ``values``, unlocked and unrecorded.
-
-        Only for a caller that owns every cell while no worker runs, such
-        as ``allpar`` publishing the array its vector step advanced.
-        """
-        self._cells[:] = values.tolist()
 
     def to_numpy(self) -> np.ndarray:
         """A writable uint64 numpy copy of every cell, packed in one C pass."""
@@ -226,8 +220,9 @@ class Stats:
     stays 0 for the popping ones.  ``stale_drops`` counts popped items
     that ``Problem.is_stale`` discarded unchecked, so a popping solve of
     an adapter that does not memoize makes ``predicate_evals +
-    stale_drops`` pops.  A vector step (``Problem.ensure_batch``) never
-    counts a failed replace: each of its writes is its owner's own.
+    stale_drops`` pops.  ``allpar``'s vector path (``Problem.offer_batch``)
+    counts one evaluation per checked index and one advance per forbidden
+    one, and never a failed replace: each of its writes is its owner's own.
     """
 
     __slots__ = ("predicate_evals", "advances", "failed_replaces", "passes", "stale_drops")
@@ -301,9 +296,10 @@ class Problem:
       as the key.  A dropped item counts as done and adds one to
       ``stats.stale_drops`` instead of ``predicate_evals``.
 
-    An adapter whose state is one cell per index may also supply two
-    vector operations over a uint64 numpy array ``values``, one value per
-    cell:
+    An adapter whose state is one cell per index, on a min lattice, may
+    also supply vector operations over a uint64 numpy array ``values``,
+    one value per cell, and ``initial_values()``, the start vector as such
+    an array, from which its ``init_state`` builds the cells:
 
     - ``forbidden_batch(values, indices) -> (forbidden, witnesses)``, a
       pure check of the int64 array ``indices``: ``forbidden`` holds the
@@ -311,18 +307,19 @@ class Problem:
       an advance of ``forbidden[k]`` writes.  It agrees with
       ``witness`` and counts nothing.  The post-solve scan then
       runs it once over every index instead of ``is_forbidden``.
-    - ``ensure_batch(state, indices, values) -> wake``, which ``allpar``
-      runs in place of one ``ensure`` per index.  ``values`` is the
-      solve's state, which ``allpar`` copies into the cells once its
-      passes end (see ``solvers._run_batches``).  ``indices`` are the
-      caller's own, each once, and only their owner writes them.  The
-      step checks them against ``values``, writes each forbidden one's
-      witness into ``values`` in place, and counts work as ``ensure``
-      does: one evaluation per index, one advance per forbidden one; it
-      adds to ``advances`` only when it advanced something, because the
-      scan's stop rule compares that counter.  ``wake`` holds the
-      indices whose check its writes may have changed; an index outside
-      it must stay unforbidden unless some other write wakes it.
+    - ``offer_batch(values, changed) -> (targets, candidates)``, the
+      check in push form, also pure: for the indices ``changed`` whose
+      values fell, each candidate their values now offer an index and
+      that beats its value (``candidates[k] < values[targets[k]]``).
+      Once the seeds are checked, an index is forbidden exactly when the
+      least offer its inputs made at their current values beats its
+      value, and that offer is its witness.
+
+    With ``offer_batch``, ``allpar`` solves on one array from
+    ``initial_values()`` instead of the cells, counts its work itself,
+    calls ``push_initial`` with ``state`` None, and builds the
+    ``GlobalState`` once from the final array, without ``init_state``
+    (see ``solvers._run_batches``).
     """
 
     #: "min" or "max"; the direction coordinates move.
@@ -336,8 +333,8 @@ class Problem:
     #: Optional vector check (see above); None keeps the post-solve scan
     #: on ``is_forbidden``.
     forbidden_batch = None
-    #: Optional vector step (see above); None keeps ``allpar`` on ``ensure``.
-    ensure_batch = None
+    #: Optional push-form check (see above); None keeps ``allpar`` on ``ensure``.
+    offer_batch = None
     #: Optional stale rule for popped items (see above); None checks every pop.
     is_stale = None
 
@@ -351,8 +348,8 @@ class Problem:
 
         Every index forbidden in ``init_state`` must be the index of some
         pushed item: popping strategies start from these items, and
-        ``allpar``'s vector step checks exactly their indices in its first
-        pass.
+        ``allpar``'s vector path checks exactly their indices in its first
+        pass, calling this with ``state`` None.
         """
         raise NotImplementedError
 

@@ -46,10 +46,12 @@ class ShortestPaths(Problem):
     weight) pair; a BFS arc is its target.
 
     ``forbidden_batch`` is the same check for many vertices at once, over
-    numpy gathers of the CSR arcs, with each forbidden vertex's best
-    candidate as its witness.  ``ensure_batch`` writes those candidates
-    into ``allpar``'s distance array in place, not into the cells, and
-    wakes the out-neighbours x with d(v) + w < d(x).
+    numpy gathers of the in-arcs, with each forbidden vertex's best
+    candidate as its witness; over every vertex it first checks each
+    out-arc once, and reduces the in-arcs only when some arc offers less.
+    ``offer_batch`` is the check in push form: the candidates d(v) + w
+    that changed vertices offer their out-neighbours x below d(x), which
+    ``allpar`` folds instead of re-reading in-arcs.
     """
 
     lattice = "min"
@@ -70,10 +72,13 @@ class ShortestPaths(Problem):
         # Plain-list arcs, (target, weight) pairs: these loops dominate solve time.
         return list(zip(graph._target_objects(), graph.weights.tolist()))
 
-    def init_state(self, recorder=None) -> GlobalState:
-        values = [INF] * self.size
+    def initial_values(self) -> np.ndarray:
+        values = np.full(self.size, INF, dtype=np.uint64)
         values[self.source] = 0
-        return GlobalState(values, recorder=recorder)
+        return values
+
+    def init_state(self, recorder=None) -> GlobalState:
+        return GlobalState(self.initial_values(), recorder=recorder)
 
     def push_initial(self, state: GlobalState, worklist) -> None:
         offsets, s = self.graph.offsets, self.source
@@ -137,13 +142,26 @@ class ShortestPaths(Problem):
     def _arc_weights(self, graph: CsrGraph, arcs: np.ndarray):
         return graph.weights[arcs]
 
+    def _offers(self, values: np.ndarray, arcs, counts):
+        """Targets and candidates of out-arcs ``arcs``, ``counts[k]`` from a vertex at ``values[k]``."""
+        w = self._arc_weights(self.graph, arcs)
+        cand = np.repeat(values, counts)
+        np.minimum(cand, INF - w, out=cand)  # saturating, as below
+        cand += w
+        return self.graph.targets[arcs], cand
+
     def forbidden_batch(self, values: np.ndarray, indices: np.ndarray):
         offsets = self._rev.offsets
         if len(indices) == self.size and (indices[1:] > indices[:-1]).all():
-            # Every index, ascending: reduce over all of _rev's arcs in
-            # place.  Skipping only the rows without arcs keeps each kept
-            # row's segment contiguous, so the source's row is reduced
-            # too and dropped below.
+            # Every index, ascending.  One pass over the out-arcs finds every
+            # arc that beats its target: none means nothing is forbidden.
+            x, cand = self._offers(values, slice(None), np.diff(self.graph.offsets))
+            if not (cand < values[x]).any():
+                return indices[:0], values[:0]
+            # Else reduce over all of _rev's arcs in place.  Skipping only
+            # the rows without arcs keeps each kept row's segment
+            # contiguous, so the source's row is reduced too and dropped
+            # below.
             v = np.flatnonzero(offsets[1:] > offsets[:-1])
             arcs, starts = slice(None), offsets[v]
         else:
@@ -159,24 +177,11 @@ class ShortestPaths(Problem):
         forbidden = (best < values[v]) & (v != self.source)
         return v[forbidden], best[forbidden]
 
-    def ensure_batch(self, state: GlobalState, indices: np.ndarray, d: np.ndarray) -> np.ndarray:
-        stats = state.stats
-        stats.predicate_evals += len(indices)
-        v, best = self.forbidden_batch(d, indices)
-        if not len(v):
-            return v
-        # Each v is the caller's own and appears once, so this write is a
-        # strict fall and counts one advance.  Only a real advance touches
-        # the counter, so every store to it exceeds the value it read: the
-        # scan's stop rule rests on that.
-        stats.advances += len(v)
-        d[v] = best
-        # Wake the out-neighbours x with d(v) + w < d(x); a peer's d[x]
-        # read mid-write is stale-high, never below, so it only wakes more.
-        arcs, counts = _row_arcs(self.graph.offsets, v)
-        w = self._arc_weights(self.graph, arcs)
-        x = self.graph.targets[arcs]
-        return x[np.minimum(np.repeat(best, counts), INF - w) + w < d[x]]
+    def offer_batch(self, values: np.ndarray, changed: np.ndarray):
+        arcs, counts = _row_arcs(self.graph.offsets, changed)
+        x, cand = self._offers(values[changed], arcs, counts)
+        beats = cand < values[x]
+        return x[beats], cand[beats]
 
     def final_solution(self, state: GlobalState) -> np.ndarray:
         return state.values.to_numpy()

@@ -4,25 +4,25 @@ Every strategy calls :meth:`~llp.core.Problem.ensure` on the indices it
 selects and converges to the same fixed point; they differ only in how
 indices are selected.  ``cyclic`` and ``allpar`` sweep index ranges in
 passes until a pass advances nothing; the others pop a worklist until
-it is quiescent.  ``allpar`` over an adapter with a vector step
-(``Problem.ensure_batch``) checks only the changed frontier of each
-range per pass, in one batch, against one numpy array of the state that
-each worker advances in place for its own range; the frontier starts
-from the adapter's seeds (``Problem.push_initial``), and the cells
-take the array once the passes end.  One harness starts, joins and
-reports the errors of every strategy's workers.  After any solve, a
-full scan asserts that no index is forbidden before the solution is
-extracted: one vector check (``Problem.forbidden_batch``) over all
-indices where the adapter has one, else ``is_forbidden`` index by
-index.
+it is quiescent.  ``allpar`` over an adapter with a push-form check
+(``Problem.offer_batch``) instead runs bulk-synchronous passes on one
+numpy array of the state: the first checks the adapter's seeds
+(``Problem.push_initial``), and each later one advances the indices of
+each worker's range to the least candidate that the previous passes'
+changes offered them, when it beats their value; the cells are built
+once, from the final array.  One harness starts, joins and reports the
+errors of every strategy's workers.  After any solve, a full scan
+asserts that no index is forbidden before the solution is extracted:
+one vector check (``Problem.forbidden_batch``) over all indices where
+the adapter has one, else ``is_forbidden`` index by index.
 
 Strategies
 ----------
 ``cyclic``   single thread, repeated descending passes over all indices
 ``bag``      single thread, seeded bag popping the lowest priority first
 ``allpar``   thread pool, repeated parallel passes over static ranges,
-             bulk-synchronous batches from the seeds where the adapter
-             has a vector step
+             bulk-synchronous folds of pushed offers from the seeds
+             where the adapter has a push-form check
 ``swb``      thread pool over one shared FIFO bag
 ``ptwb``     thread pool over per-thread priority bins with work stealing
 ``ptcf``     thread pool over per-thread chunked FIFOs
@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GlobalState, IncompleteSolveError, Problem, Recorder
+from .core import INF, GlobalState, IncompleteSolveError, Problem, Recorder, Stats
 from .worklists import (
     BucketQueue,
     ChunkedFifo,
@@ -204,25 +204,27 @@ def _run_pool(problem: Problem, state: GlobalState, worklist: Worklist, threads:
     _run_workers(threads, lambda slot: _pool_worker(problem, state, worklist, slot, stop), stop.set)
 
 
-def _run_passes(state: GlobalState, sweeps: list) -> None:
+def _run_passes(stats: Stats, sweeps: list, merge=None) -> None:
     """Run ``sweeps[me]()`` on worker ``me``, pass after pass, behind a barrier.
 
-    Passes stop after one in which ``state.stats.advances`` did not move.
-    A pass that advanced nothing changed no cell (a failed replace means
-    another check of the same pass advanced), so the next pass would
-    repeat it: the state is a fixed point, or a check that never clears
+    The barrier action calls ``merge()``, if given, and stops the passes
+    after one in which ``stats.advances`` did not move.  A pass that
+    advanced nothing changed no cell (a failed replace means another
+    check of the same pass advanced), so the next pass would repeat
+    it: the state is a fixed point, or a check that never clears
     is left for the post-solve scan to report instead of hanging.  The
     counter's ``+=`` may lose increments across threads, yet comparing it
     is sound as long as no check adds 0: every store in a pass then writes
     a value read in that pass plus at least 1, which is above the pass's
     start value.
     """
-    stats = state.stats
     start = stats.advances
     go = True
 
     def decide() -> None:  # the barrier runs this once per pass, before releasing
         nonlocal start, go
+        if merge is not None:
+            merge()
         stats.passes += 1
         go = stats.advances != start
         start = stats.advances
@@ -250,7 +252,7 @@ def _run_scan(problem: Problem, state: GlobalState, ranges: list) -> None:
             if not (memoizes and fixed.is_fixed(index)):
                 ensure(state, index, worklist)
 
-    _run_passes(state, [partial(sweep, r) for r in ranges])
+    _run_passes(state.stats, [partial(sweep, r) for r in ranges])
 
 
 class _SeedIndices(Worklist):
@@ -263,59 +265,70 @@ class _SeedIndices(Worklist):
         self.indices.append(item[0])
 
 
-def _run_batches(
-    problem: Problem, state: GlobalState, ranges: list, recorder: Optional[Recorder]
-) -> np.ndarray:
-    """Run ``ensure_batch`` over each range's changed frontier, one worker per range.
+def _run_batches(problem: Problem, ranges: list, recorder: Optional[Recorder]):
+    """Fold pushed offers over each range, one worker per range; return ``(state, d)``.
 
-    ``d`` is the state of the solve: one read of the cells, then each
-    batch advances its own indices in ``d`` in place, and the cells take
-    ``d`` in one store after the last pass.  ``d`` is returned, and
-    ``_finish`` certifies it, equal to the cells, without a second read.
-    This is sound because only v's range owner writes ``d[v]``, and only
-    downward, so a worker reads its own indices exactly and a peer may
-    read ``d[v]`` stale-high, never below.  A peer that reads ``d[v]``
-    stale-high read it before the owner's write, and it cleared its own
-    bits before that read; the owner's wake, computed after the write,
-    therefore lands after the clear, and the peer checks again next pass.
+    ``d``, the state of the solve, starts as ``problem.initial_values()``.
+    In every pass a worker's frontier is its own indices v with ``merged[v]
+    < d[v]``: it writes ``d[v] = merged[v]`` and folds the offers of those
+    v (``offer_batch``) into its own array with ``np.minimum.at``.  With
+    one worker that array is ``merged``; with more, the barrier action
+    folds them all into it.  Pass 1's frontier is the forbidden seeds
+    (the items ``push_initial`` pushes cover all that may be forbidden at
+    the start): one ``forbidden_batch`` of every seed, on the calling
+    thread before any write, puts their witnesses in ``merged``.  A
+    frontier index counts one evaluation and one advance, a seed that is
+    not forbidden one evaluation.  The cells are built once, from ``d``.
 
-    ``dirty`` marks the indices to check next pass; pass 1 checks the
-    seeds, the indices of the items ``push_initial`` pushes, which are
-    all that may be forbidden at the start.  The frontier is sound: an
-    index left clean was not forbidden at its last check, or at the start
-    if it was never checked, and none of its inputs has changed since,
-    because every write wakes the indices whose check it may change (a
-    wake that reads a peer's index stale-high can only wake more).  A
-    worker clears its indices' bits *before* its batch reads ``d``, so a
-    write that races that read sets its targets' bits after the clear,
-    and they are checked next pass.  An empty frontier is therefore a
-    fixed point; the post-solve scan certifies it all the same, over
-    every index, so an adapter that seeds too few indices fails with
-    ``IncompleteSolveError``, never a wrong vector.
+    Every offer is a value an in-neighbour held plus its arc, and values
+    only fall, so a frontier index is forbidden and is never written past
+    the fixed point.  An index that an in-neighbour's fall makes forbidden
+    gets that offer, since an offer is dropped only when it does not beat
+    the target, which only falls.  So an empty frontier is the fixed
+    point, and the post-solve scan certifies it anyway: an adapter that
+    seeds or offers too little fails with ``IncompleteSolveError``.
 
-    With a ``recorder``, each sweep reports every change its batch made
-    to ``d`` as ``(index, old, new)``, from the thread that made it.
+    The thread count changes nothing: only v's owner writes ``d[v]``, and
+    a peer's ``d[x]`` read mid-pass is only stale-high, so it can only add
+    offers, none of which beats the ``d[x]`` the pass ends with.  Offers
+    are merged only at the barrier, so every pass's frontier and writes,
+    hence ``passes`` and the vector, are those of one worker.  With a
+    ``recorder``, each sweep reports its changes ``(index, old, new)``.
     """
+    stats = Stats()
+    d = problem.initial_values()
     seeds = _SeedIndices()
-    problem.push_initial(state, seeds)
-    dirty = np.zeros(problem.size, dtype=bool)
-    dirty[np.array(seeds.indices, dtype=np.int64)] = True
-    d = state.values.to_numpy()
-    ensure_batch = problem.ensure_batch
+    problem.push_initial(None, seeds)
+    seeded = np.zeros(problem.size, dtype=bool)
+    seeded[seeds.indices] = True
+    offers = [np.full(problem.size, INF, dtype=np.uint64) for _ in ranges]
+    merged = offers[0] if len(ranges) == 1 else np.full(problem.size, INF, dtype=np.uint64)
+    todo = np.flatnonzero(seeded)
+    v, witnesses = problem.forbidden_batch(d, todo)
+    merged[v] = witnesses
+    stats.predicate_evals += len(todo) - len(v)  # a forbidden seed counts in pass 1
 
-    def sweep(indices: range) -> None:
-        todo = np.flatnonzero(dirty[indices.start : indices.stop]) + indices.start
-        dirty[todo] = False
-        old = None if recorder is None else d[todo]
-        dirty[ensure_batch(state, todo, d)] = True
-        if old is not None:
-            new = d[todo]
-            for k in np.flatnonzero(new != old).tolist():
-                recorder(int(todo[k]), int(old[k]), int(new[k]))
+    def sweep(lo: int, hi: int, mine: np.ndarray) -> None:
+        v = np.flatnonzero(merged[lo:hi] < d[lo:hi]) + lo
+        if len(v):
+            stats.predicate_evals += len(v)
+            stats.advances += len(v)
+            new = merged[v]
+            if recorder is not None:
+                for change in zip(v.tolist(), d[v].tolist(), new.tolist()):
+                    recorder(*change)
+            d[v] = new
+            np.minimum.at(mine, *problem.offer_batch(d, v))
 
-    _run_passes(state, [partial(sweep, r) for r in ranges])
-    state.values.store_all(d)
-    return d
+    def merge() -> None:
+        for mine in offers:
+            np.minimum(merged, mine, out=merged)
+
+    sweeps = [partial(sweep, r.start, r.stop, mine) for r, mine in zip(ranges, offers)]
+    _run_passes(stats, sweeps, merge if len(ranges) > 1 else None)
+    state = GlobalState(d, recorder=recorder)
+    state.stats = stats
+    return state, d
 
 
 def run_solver(
@@ -331,29 +344,28 @@ def run_solver(
     schedule-randomization tests and tracing); ``cyclic`` and ``allpar``
     scan without one.
     """
-    state = problem.init_state(recorder=recorder)
     strategy = config.strategy
     n = problem.size
-    values = None
+    if strategy == "allpar":
+        # Static contiguous partition of the index space.
+        threads = min(config.threads, n) or 1
+        step = (n + threads - 1) // threads
+        ranges = [range(i * step, min(n, (i + 1) * step)) for i in range(threads)]
+        if problem.offer_batch is not None:
+            return _finish(problem, *_run_batches(problem, ranges, recorder))
+    state = problem.init_state(recorder=recorder)
     if strategy == "cyclic":
         # Descending passes: an ascending pass would settle cascading chains
         # in a single sweep, hiding exactly the redundant re-examination this
         # naive strategy is meant to exhibit.
         _run_scan(problem, state, [range(n - 1, -1, -1)])
     elif strategy == "allpar":
-        # Static contiguous partition of the index space.
-        threads = min(config.threads, n) or 1
-        step = (n + threads - 1) // threads
-        ranges = [range(i * step, min(n, (i + 1) * step)) for i in range(threads)]
-        if problem.ensure_batch is not None:
-            values = _run_batches(problem, state, ranges, recorder)
-        else:
-            _run_scan(problem, state, ranges)
+        _run_scan(problem, state, ranges)
     else:
         if worklist is None:
             worklist = WORKLISTS[strategy][1](config)
         _run_pool(problem, state, worklist, config.threads)
-    return _finish(problem, state, values)
+    return _finish(problem, state)
 
 
 def solve(problem: Problem, config: Optional[SolverConfig] = None, **kwargs) -> np.ndarray:

@@ -64,16 +64,17 @@ def test_monotone_min_never_regresses(candidates):
     assert cells.load(0) == min([INF] + candidates)
 
 
-def test_store_all_overwrites_in_place_unrecorded():
-    # The bulk store is the one unlocked write: it keeps the backing list
-    # that hot loops hold and never calls the recorder.
+def test_cells_from_a_uint64_array_are_unrecorded_python_ints():
+    # allpar builds the cells once from its final array: the hot loops
+    # read plain ints, and building them is no change the recorder sees.
     changes = []
-    cells = AtomicU64Array([INF, 7, 3], recorder=lambda i, old, new: changes.append(i))
-    backing = cells.cells()
-    cells.store_all(np.array([0, 5, 3], dtype=np.uint64))
-    assert cells.snapshot() == [0, 5, 3] and cells.cells() is backing
-    assert all(type(v) is int for v in backing)
+    values = np.array([0, 5, INF], dtype=np.uint64)
+    cells = AtomicU64Array(values, recorder=lambda i, old, new: changes.append(i))
+    assert cells.snapshot() == [0, 5, INF]
+    assert all(type(v) is int for v in cells.cells())
     assert changes == []
+    values[0] = 9
+    assert cells.load(0) == 0
 
 
 @pytest.mark.parametrize("value", [-1, 2**64])

@@ -98,7 +98,7 @@ def test_bfs_oracle_suite():
 @pytest.mark.parametrize("adapter_class,oracle", [(ShortestPaths, dijkstra_heap), (BreadthFirstLevels, bfs_seq)])
 @pytest.mark.parametrize("seed", range(4))
 def test_allpar_vector_step_oracle_suite(adapter_class, oracle, seed):
-    # allpar drives ensure_batch on these adapters.  Sparse random arcs
+    # allpar folds these adapters' offers.  Sparse random arcs
     # leave vertices unreached; every arc is drawn twice, once with a
     # heavier weight, so duplicates matter for SSSP; on odd draws the
     # source's in-arcs are dropped.
@@ -120,6 +120,23 @@ def test_allpar_vector_step_oracle_suite(adapter_class, oracle, seed):
             assert result.stats.failed_replaces == 0
 
 
+_STATE_POOL = [INF, INF - 1, INF - 4, 0, 1, 2, 3, 5, 8, 13, 21]
+
+
+def _random_cells(rng, n):
+    return [_STATE_POOL[rng.below(len(_STATE_POOL))] for _ in range(n)]
+
+
+def _random_states(adapter_class, rng, draws=20):
+    """Yield ``(adapter, cells)``: random graphs, each with random cells."""
+    for _draw in range(draws):
+        n = rng.uniform(1, 60)
+        source = rng.below(n)
+        arcs = [(rng.below(n), rng.below(n), rng.uniform(1, 9)) for _ in range(rng.uniform(0, 2 * n))]
+        arcs += [(u, v, rng.uniform(1, 12)) for u, v, _w in arcs[::2]]
+        yield adapter_class(CsrGraph.from_edges(n, arcs), source), _random_cells(rng, n)
+
+
 @pytest.mark.parametrize("adapter_class", [ShortestPaths, BreadthFirstLevels])
 @pytest.mark.parametrize("seed", range(4))
 def test_forbidden_batch_agrees_with_is_forbidden(adapter_class, seed):
@@ -129,15 +146,9 @@ def test_forbidden_batch_agrees_with_is_forbidden(adapter_class, seed):
     # duplicate arcs both lighter and heavier, shuffled index subsets.
     # Each witness is the value the scalar advance writes.
     rng = SplitMix64(0xF0B ^ seed)
-    pool = [INF, INF - 1, INF - 4, 0, 1, 2, 3, 5, 8, 13, 21]
     found = 0
-    for draw in range(20):
-        n = rng.uniform(1, 60)
-        source = rng.below(n)
-        arcs = [(rng.below(n), rng.below(n), rng.uniform(1, 9)) for _ in range(rng.uniform(0, 2 * n))]
-        arcs += [(u, v, rng.uniform(1, 12)) for u, v, _w in arcs[::2]]
-        adapter = adapter_class(CsrGraph.from_edges(n, arcs), source)
-        cells = [pool[rng.below(len(pool))] for _ in range(n)]
+    for draw, (adapter, cells) in enumerate(_random_states(adapter_class, rng)):
+        n = adapter.size
         values = np.array(cells, dtype=np.uint64)
         state = GlobalState(cells)
         order = list(range(n))
@@ -165,6 +176,49 @@ EDGE_GRAPHS = [
                              (3, 5, 0), (3, 5, 1), (6, 6, 0)]), 0),
     (CsrGraph.from_edges(5, [(2, 0, 0), (2, 1, 0), (1, 3, 2), (3, 4, 0), (4, 1, 0)]), 2),
 ]
+
+
+@pytest.mark.parametrize("adapter_class", [ShortestPaths, BreadthFirstLevels])
+@pytest.mark.parametrize("seed", range(4))
+def test_offer_batch_agrees_with_the_scalar_check(adapter_class, seed):
+    # allpar advances each vertex to the least offer folded into it.  With
+    # every vertex changed, that fold beats d(x) exactly where the scalar
+    # check finds x forbidden, the source aside, and equals its witness.
+    rng = SplitMix64(0x0FFE ^ seed)
+    draws = list(_random_states(adapter_class, rng))
+    draws += [(adapter_class(graph, source), _random_cells(rng, graph.num_vertices))
+              for graph, source in EDGE_GRAPHS]
+    found = 0
+    for adapter, cells in draws:
+        n = adapter.size
+        values = np.array(cells, dtype=np.uint64)
+        targets, candidates = adapter.offer_batch(values, np.arange(n))
+        assert (candidates < values[targets]).all()
+        assert values.tolist() == cells
+        folded = np.full(n, INF, dtype=np.uint64)
+        np.minimum.at(folded, targets, candidates)
+        beats = folded < values
+        beats[adapter.source] = False
+        state = GlobalState(cells)
+        want = {v: w for v in range(n) if (w := adapter.witness(state, v)) is not None}
+        assert np.flatnonzero(beats).tolist() == sorted(want)
+        assert folded[beats].tolist() == [want[v] for v in sorted(want)]
+        found += len(want)
+    assert found > 0
+
+
+@pytest.mark.parametrize("adapter_class", [ShortestPaths, BreadthFirstLevels])
+def test_allpar_vector_path_is_independent_of_the_thread_count(adapter_class):
+    # Offers are merged only at the barrier, so every pass's frontier and
+    # writes are those of one worker: same vector, same pass count.
+    graphs = [(inst.graph, inst.source) for inst in
+              (generate("randgraph:n=1500,m=6000,wmax=100", seed) for seed in range(1, 5))]
+    for graph, source in graphs + EDGE_GRAPHS:
+        runs = [run_solver(adapter_class(graph, source), SolverConfig(strategy="allpar", threads=t))
+                for t in (1, 2, 3)]
+        for run in runs[1:]:
+            assert np.array_equal(run.solution, runs[0].solution)
+            assert run.stats.passes == runs[0].stats.passes
 
 
 def _seed_cover_graphs():

@@ -170,11 +170,9 @@ class _StuckPaths(ShortestPaths):
         state.stats.predicate_evals += 1
         return True
 
-    def ensure_batch(self, state, indices, d):
-        stuck = indices == 1
-        wake = super().ensure_batch(state, indices[~stuck], d)
-        state.stats.predicate_evals += int(stuck.sum())
-        return np.append(wake, 1)  # keeps the frontier from emptying
+    def forbidden_batch(self, values, indices):
+        forbidden, witnesses = super().forbidden_batch(values, indices)
+        return forbidden, np.where(forbidden == 1, values[1], witnesses)  # writes nothing
 
 
 def _incomplete_index(adapter, config):
@@ -225,6 +223,35 @@ def test_allpar_that_seeds_nothing_is_caught(threads):
     assert got == firsts[0]
 
 
+class _UnofferedPaths(ShortestPaths):
+    """Negative control: offers nothing, so allpar advances only the seeds."""
+
+    def offer_batch(self, values, changed):
+        return changed[:0], values[:0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_allpar_that_offers_nothing_is_caught(threads):
+    # Pass 1 advances the seeds, then no offer makes a frontier and the
+    # scan stops.  The certification's arc-wise check finds arcs that
+    # beat their targets and falls through to the pull reduce, which
+    # reports the first vertex forbidden after pass 1, as the scalar
+    # scan of that state does.
+    inst = generate("randgraph:n=300,m=900,wmax=20", 4)
+    adapter = _UnofferedPaths(inst.graph, inst.source)
+    start = adapter.init_state()
+    bag = SeqBag()
+    adapter.push_initial(start, bag)
+    after = start.values.snapshot()
+    for x, _key in iter(bag.pop, None):
+        witness = adapter.witness(start, x)
+        if witness is not None:
+            after[x] = witness
+    want = scan_for_forbidden(adapter, GlobalState(after))
+    assert want is not None
+    assert _incomplete_index(adapter, SolverConfig(strategy="allpar", threads=threads)) == want
+
+
 class _ScalarCertifiedPaths(ShortestPaths):
     forbidden_batch = None
 
@@ -243,15 +270,15 @@ def test_certification_reports_the_first_forbidden_index(adapter_class):
 
 
 class _ThreadRecordingPaths(ShortestPaths):
-    """Records the thread of every ``ensure`` and ``ensure_batch`` call in ``callers``."""
+    """Records the thread of every ``ensure`` and ``offer_batch`` call in ``callers``."""
 
     def ensure(self, state, v, worklist):
         self.callers.add(threading.get_ident())
         return super().ensure(state, v, worklist)
 
-    def ensure_batch(self, state, indices, d):
+    def offer_batch(self, values, changed):
         self.callers.add(threading.get_ident())
-        return super().ensure_batch(state, indices, d)
+        return super().offer_batch(values, changed)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -452,9 +479,9 @@ def test_vector_step_records_every_cell_change(problem, threads):
 
 
 def test_vector_step_survives_fast_thread_switching():
-    # Six workers' batches read and write the shared cells and the dirty
-    # frontier concurrently.  A wake-up lost to a race would leave a
-    # forbidden vertex behind, which the post-solve scan reports.
+    # Six workers write the shared array and fold their offers
+    # concurrently.  An offer lost to a race would leave a forbidden
+    # vertex behind, which the post-solve scan reports.
     instances = [generate("randgraph:n=400,m=1600,wmax=50", seed) for seed in range(6)]
     want = [solve(adapter_for("sssp", inst), strategy="bag") for inst in instances]
     got, errors = [], []
