@@ -29,6 +29,11 @@ class Knapsack(Problem):
     row k-1, so a policy that pops lower keys first finishes row k-1
     before it reaches row k and advances each tile once, from its final
     input row.  The key is only a hint: any order reaches the same table.
+
+    Row k-1's advance pushes row k's tiles while their seeds are still
+    waiting.  The ``bag`` policy holds each waiting item once, so it
+    absorbs that push and checks each tile once; a policy that queues
+    the copy checks most tiles twice.
     """
 
     lattice = "max"
@@ -65,23 +70,21 @@ class Knapsack(Problem):
     def push_initial(self, state: GlobalState, worklist) -> None:
         worklist.push_all((tile, tile // self.strips + 1) for tile in range(self.size))
 
-    def _target(self, cells, k: int, c: int) -> int:
-        prev = (k - 1) * self.cols
-        best = cells[prev + c]
-        w = self.weights[k - 1]
-        if c >= w:
-            take = self.values[k - 1] + cells[prev + c - w]
-            if take > best:
-                best = take
-        return best
-
     def witness(self, state: GlobalState, tile: int):
         """The first column of ``tile`` below its target, or None when there is none."""
         k, lo, hi = self._tile_span(tile)
         cells = state.values.cells()
         row = k * self.cols
+        prev = row - self.cols
+        w_k = self.weights[k - 1]
+        v_k = self.values[k - 1]
         for c in range(lo, hi):
-            if cells[row + c] < self._target(cells, k, c):
+            target = cells[prev + c]
+            if c >= w_k:
+                take = v_k + cells[prev + c - w_k]
+                if take > target:
+                    target = take
+            if cells[row + c] < target:
                 return c
         return None
 
@@ -92,9 +95,16 @@ class Knapsack(Problem):
         values = state.values
         cells = values.cells()
         row = k * self.cols
+        prev = row - self.cols
+        w_k = self.weights[k - 1]
+        v_k = self.values[k - 1]
         changed_cols = []
         for c in range(first, hi):
-            target = self._target(cells, k, c)
+            target = cells[prev + c]
+            if c >= w_k:
+                take = v_k + cells[prev + c - w_k]
+                if take > target:
+                    target = take
             if target > cells[row + c] and values.monotone_max(row + c, target).updated:
                 changed_cols.append(c)
         if not changed_cols:
@@ -102,12 +112,9 @@ class Knapsack(Problem):
         if k < self.num_items:
             w_next = self.weights[k]
             width = self.tile_width
-            strips = set()
-            for c in changed_cols:
-                strips.add(c // width)
-                shifted = c + w_next
-                if shifted < self.cols:
-                    strips.add(shifted // width)
+            cols = self.cols
+            strips = {c // width for c in changed_cols}
+            strips |= {(c + w_next) // width for c in changed_cols if c + w_next < cols}
             worklist.push_all((self.tile_of(k + 1, s), k + 1) for s in sorted(strips))
         return True
 

@@ -43,6 +43,28 @@ def test_seq_bag_is_lifo():
     assert len(wl) == 0
 
 
+def test_seq_bag_holds_each_waiting_item_once():
+    wl = SeqBag()
+    wl.push_all([(1, 0), (2, 0), (3, 0)])
+    wl.push((1, 0))  # held: dropped, and 1 keeps its place below 2 and 3
+    wl.push_all([(2, 0), (4, 0)])
+    assert len(wl) == 4
+    assert [item[0] for item in iter(wl.pop, None)] == [4, 3, 2, 1]
+    # A popped item is forgotten, so it can wait again.
+    wl.push((1, 0))
+    assert wl.pop() == (1, 0) and wl.pop() is None
+    # Items that differ in priority alone are both kept.
+    wl.push_all([(5, 2), (5, 1), (5, 2)])
+    assert list(iter(wl.pop, None)) == [(5, 1), (5, 2)]
+
+
+def test_per_thread_bag_keeps_duplicates():
+    wl = PerThreadBag()
+    wl.push_all([(1, 0), (1, 0)])
+    assert [wl.pop(), wl.pop(), wl.pop()] == [(1, 0), (1, 0), None]
+    assert wl.token.outstanding == 2
+
+
 def test_random_order_bag_reproducible_and_complete():
     order1 = []
     order2 = []
