@@ -221,8 +221,8 @@ class Stats:
     that ``Problem.is_stale`` discarded unchecked, so a popping solve of
     an adapter that does not memoize makes ``predicate_evals +
     stale_drops`` pops.  ``allpar``'s vector path (``Problem.offer_batch``)
-    counts one evaluation per checked index and one advance per forbidden
-    one, and never a failed replace: each of its writes is its owner's own.
+    counts one evaluation and one advance per index it lowers, and never
+    a failed replace: each of its writes is its owner's own.
     """
 
     __slots__ = ("predicate_evals", "advances", "failed_replaces", "passes", "stale_drops")
@@ -301,25 +301,23 @@ class Problem:
     one value per cell, and ``initial_values()``, the start vector as such
     an array, from which its ``init_state`` builds the cells:
 
-    - ``forbidden_batch(values, indices) -> (forbidden, witnesses)``, a
-      pure check of the int64 array ``indices``: ``forbidden`` holds the
-      forbidden ones in input order, and ``witnesses[k]`` is the value
-      an advance of ``forbidden[k]`` writes.  It agrees with
-      ``witness`` and counts nothing.  The post-solve scan then
-      runs it once over every index instead of ``is_forbidden``.
+    - ``forbidden_batch(values) -> forbidden``, a pure check of every
+      index: the ascending int64 array of the forbidden ones.  It agrees
+      with ``is_forbidden`` and counts nothing.  The post-solve scan
+      then runs it once instead of ``is_forbidden`` index by index.
     - ``offer_batch(values, changed) -> (targets, candidates)``, the
-      check in push form, also pure: for the indices ``changed`` whose
-      values fell, each candidate their values now offer an index and
-      that beats its value (``candidates[k] < values[targets[k]]``).
-      Once the seeds are checked, an index is forbidden exactly when the
-      least offer its inputs made at their current values beats its
-      value, and that offer is its witness.
+      check in push form, also pure: for the int64 array ``changed``,
+      each candidate their values now offer an index and that beats its
+      value (``candidates[k] < values[targets[k]]``).  An index is
+      forbidden exactly when the least offer its inputs make at their
+      current values beats its value, and that offer is its witness; an
+      input at INF offers nothing that beats anything.
 
     With ``offer_batch``, ``allpar`` solves on one array from
     ``initial_values()`` instead of the cells, counts its work itself,
-    calls ``push_initial`` with ``state`` None, and builds the
-    ``GlobalState`` once from the final array, without ``init_state``
-    (see ``solvers._run_batches``).
+    starts from the offers of the array's finite indices instead of
+    ``push_initial``, and builds the ``GlobalState`` once from the final
+    array, without ``init_state`` (see ``solvers._run_batches``).
     """
 
     #: "min" or "max"; the direction coordinates move.
@@ -347,9 +345,7 @@ class Problem:
         """Push the work items that may be forbidden at the start.
 
         Every index forbidden in ``init_state`` must be the index of some
-        pushed item: popping strategies start from these items, and
-        ``allpar``'s vector path checks exactly their indices in its first
-        pass, calling this with ``state`` None.
+        pushed item: popping strategies start from these items.
         """
         raise NotImplementedError
 

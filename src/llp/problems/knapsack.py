@@ -48,6 +48,8 @@ class Knapsack(Problem):
         self.tile_width = tile_width
         self.weights = [int(w) for w in weights]
         self.values = [int(v) for v in values]
+        if min(self.weights + self.values, default=0) < 0:
+            raise ValueError("weights and values must be >= 0")
         self.cols = capacity + 1
         self.strips = max(1, (self.cols + tile_width - 1) // tile_width)
         self.size = self.num_items * self.strips

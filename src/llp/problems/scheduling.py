@@ -33,6 +33,8 @@ class JobScheduling(Problem):
             raise ValueError("durations must match the vertex count")
         self.size = graph.num_vertices
         self.durations = [int(t) for t in durations]
+        if min(self.durations, default=0) < 0:
+            raise ValueError("durations must be >= 0")
         self._succ = graph.successor_lists()
         self._n_pred = graph.in_degrees()
 

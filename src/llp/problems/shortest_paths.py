@@ -45,13 +45,13 @@ class ShortestPaths(Problem):
     ``_in[_in_offs[v] : _in_offs[v + 1]]``.  Each SSSP arc is a (target,
     weight) pair; a BFS arc is its target.
 
-    ``forbidden_batch`` is the same check for many vertices at once, over
-    numpy gathers of the in-arcs, with each forbidden vertex's best
-    candidate as its witness; over every vertex it first checks each
-    out-arc once, and reduces the in-arcs only when some arc offers less.
     ``offer_batch`` is the check in push form: the candidates d(v) + w
     that changed vertices offer their out-neighbours x below d(x), which
-    ``allpar`` folds instead of re-reading in-arcs.
+    ``allpar`` folds instead of re-reading in-arcs.  ``forbidden_batch``
+    certifies a solve in one pass over every out-arc: every in-arc is
+    some vertex's out-arc, so the targets that an arc beats are exactly
+    the vertices that the scalar check finds forbidden, the source aside.
+    Neither reads the scalar views or the reversed graph.
     """
 
     lattice = "min"
@@ -62,11 +62,11 @@ class ShortestPaths(Problem):
         self.graph = graph
         self.source = source
         self.size = graph.num_vertices
-        self._rev = graph.reversed()
+        rev = graph.reversed()
         self._out_offs = graph.offsets.tolist()
         self._out = self._scalar_arcs(graph)
-        self._in_offs = self._rev.offsets.tolist()
-        self._in = self._scalar_arcs(self._rev)
+        self._in_offs = rev.offsets.tolist()
+        self._in = self._scalar_arcs(rev)
 
     def _scalar_arcs(self, graph: CsrGraph) -> list:
         # Plain-list arcs, (target, weight) pairs: these loops dominate solve time.
@@ -139,43 +139,23 @@ class ShortestPaths(Problem):
         self._push_improved(offered, v, d, worklist)
         return True
 
-    def _arc_weights(self, graph: CsrGraph, arcs: np.ndarray):
-        return graph.weights[arcs]
+    def _arc_weights(self, arcs):
+        return self.graph.weights[arcs]
 
     def _offers(self, values: np.ndarray, arcs, counts):
         """Targets and candidates of out-arcs ``arcs``, ``counts[k]`` from a vertex at ``values[k]``."""
-        w = self._arc_weights(self.graph, arcs)
+        w = self._arc_weights(arcs)
         cand = np.repeat(values, counts)
-        np.minimum(cand, INF - w, out=cand)  # saturating, as below
+        np.minimum(cand, INF - w, out=cand)  # saturating, so exact at INF
         cand += w
         return self.graph.targets[arcs], cand
 
-    def forbidden_batch(self, values: np.ndarray, indices: np.ndarray):
-        offsets = self._rev.offsets
-        if len(indices) == self.size and (indices[1:] > indices[:-1]).all():
-            # Every index, ascending.  One pass over the out-arcs finds every
-            # arc that beats its target: none means nothing is forbidden.
-            x, cand = self._offers(values, slice(None), np.diff(self.graph.offsets))
-            if not (cand < values[x]).any():
-                return indices[:0], values[:0]
-            # Else reduce over all of _rev's arcs in place.  Skipping only
-            # the rows without arcs keeps each kept row's segment
-            # contiguous, so the source's row is reduced too and dropped
-            # below.
-            v = np.flatnonzero(offsets[1:] > offsets[:-1])
-            arcs, starts = slice(None), offsets[v]
-        else:
-            v = indices[offsets[indices + 1] > offsets[indices]]
-            arcs, counts = _row_arcs(offsets, v)
-            starts = np.cumsum(counts) - counts
-        if not len(v):
-            return v, values[:0]
-        w = self._arc_weights(self._rev, arcs)
-        # Saturating, so exact at INF: min(d, INF - w) + w never wraps.
-        cand = np.minimum(values[self._rev.targets[arcs]], INF - w) + w
-        best = np.minimum.reduceat(cand, starts)
-        forbidden = (best < values[v]) & (v != self.source)
-        return v[forbidden], best[forbidden]
+    def forbidden_batch(self, values: np.ndarray) -> np.ndarray:
+        x, cand = self._offers(values, slice(None), np.diff(self.graph.offsets))
+        forbidden = np.zeros(self.size, dtype=bool)
+        forbidden[x[cand < values[x]]] = True
+        forbidden[self.source] = False
+        return np.flatnonzero(forbidden)
 
     def offer_batch(self, values: np.ndarray, changed: np.ndarray):
         arcs, counts = _row_arcs(self.graph.offsets, changed)
@@ -211,7 +191,7 @@ class BreadthFirstLevels(ShortestPaths):
         if items:
             worklist.push_all(items)
 
-    def _arc_weights(self, graph: CsrGraph, arcs: np.ndarray):
+    def _arc_weights(self, arcs):
         return _ONE
 
     def witness(self, state: GlobalState, v: int):

@@ -6,23 +6,24 @@ indices are selected.  ``cyclic`` and ``allpar`` sweep index ranges in
 passes until a pass advances nothing; the others pop a worklist until
 it is quiescent.  ``allpar`` over an adapter with a push-form check
 (``Problem.offer_batch``) instead runs bulk-synchronous passes on one
-numpy array of the state: the first checks the adapter's seeds
-(``Problem.push_initial``), and each later one advances the indices of
-each worker's range to the least candidate that the previous passes'
-changes offered them, when it beats their value; the cells are built
-once, from the final array.  One harness starts, joins and reports the
-errors of every strategy's workers.  After any solve, a full scan
-asserts that no index is forbidden before the solution is extracted:
-one vector check (``Problem.forbidden_batch``) over all indices where
-the adapter has one, else ``is_forbidden`` index by index.
+numpy array of the state: each pass advances the indices of each
+worker's range to the least candidate offered them, when it beats their
+value.  Pass 1's offers come from the start vector's finite indices,
+each later pass's from the previous pass's changes, and the cells are
+built once, from the final array.  One
+harness starts, joins and reports the errors of every strategy's
+workers.  After any solve, a full scan asserts that no index is
+forbidden before the solution is extracted: one vector check
+(``Problem.forbidden_batch``) of all indices where the adapter has one,
+else ``is_forbidden`` index by index.
 
 Strategies
 ----------
 ``cyclic``   single thread, repeated descending passes over all indices
 ``bag``      single thread, seeded bag popping the lowest priority first
 ``allpar``   thread pool, repeated parallel passes over static ranges,
-             bulk-synchronous folds of pushed offers from the seeds
-             where the adapter has a push-form check
+             bulk-synchronous folds of pushed offers where the
+             adapter has a push-form check
 ``swb``      thread pool over one shared FIFO bag
 ``ptwb``     thread pool over per-thread priority bins with work stealing
 ``ptcf``     thread pool over per-thread chunked FIFOs
@@ -116,7 +117,7 @@ def _finish(
     else:
         if values is None:
             values = state.values.to_numpy()
-        forbidden, _witnesses = problem.forbidden_batch(values, np.arange(problem.size))
+        forbidden = problem.forbidden_batch(values)
         bad = int(forbidden[0]) if len(forbidden) else None
     if bad is not None:
         raise IncompleteSolveError(bad)
@@ -255,16 +256,6 @@ def _run_scan(problem: Problem, state: GlobalState, ranges: list) -> None:
     _run_passes(state.stats, [partial(sweep, r) for r in ranges])
 
 
-class _SeedIndices(Worklist):
-    """Keeps only the index of each item pushed to it, in ``indices``."""
-
-    def __init__(self):
-        self.indices = []
-
-    def push(self, item) -> None:
-        self.indices.append(item[0])
-
-
 def _run_batches(problem: Problem, ranges: list, recorder: Optional[Recorder]):
     """Fold pushed offers over each range, one worker per range; return ``(state, d)``.
 
@@ -273,12 +264,12 @@ def _run_batches(problem: Problem, ranges: list, recorder: Optional[Recorder]):
     < d[v]``: it writes ``d[v] = merged[v]`` and folds the offers of those
     v (``offer_batch``) into its own array with ``np.minimum.at``.  With
     one worker that array is ``merged``; with more, the barrier action
-    folds them all into it.  Pass 1's frontier is the forbidden seeds
-    (the items ``push_initial`` pushes cover all that may be forbidden at
-    the start): one ``forbidden_batch`` of every seed, on the calling
-    thread before any write, puts their witnesses in ``merged``.  A
-    frontier index counts one evaluation and one advance, a seed that is
-    not forbidden one evaluation.  The cells are built once, from ``d``.
+    folds them all into it.  Before pass 1, on the calling thread,
+    ``merged`` takes the offers of every finite index of the start
+    vector: an index at INF offers nothing that beats anything, since the
+    add saturates, so these reach every index forbidden at the start,
+    each with its witness.  A frontier index counts one evaluation and
+    one advance.  The cells are built once, from ``d``.
 
     Every offer is a value an in-neighbour held plus its arc, and values
     only fall, so a frontier index is forbidden and is never written past
@@ -286,7 +277,7 @@ def _run_batches(problem: Problem, ranges: list, recorder: Optional[Recorder]):
     gets that offer, since an offer is dropped only when it does not beat
     the target, which only falls.  So an empty frontier is the fixed
     point, and the post-solve scan certifies it anyway: an adapter that
-    seeds or offers too little fails with ``IncompleteSolveError``.
+    offers too little fails with ``IncompleteSolveError``.
 
     The thread count changes nothing: only v's owner writes ``d[v]``, and
     a peer's ``d[x]`` read mid-pass is only stale-high, so it can only add
@@ -297,16 +288,9 @@ def _run_batches(problem: Problem, ranges: list, recorder: Optional[Recorder]):
     """
     stats = Stats()
     d = problem.initial_values()
-    seeds = _SeedIndices()
-    problem.push_initial(None, seeds)
-    seeded = np.zeros(problem.size, dtype=bool)
-    seeded[seeds.indices] = True
     offers = [np.full(problem.size, INF, dtype=np.uint64) for _ in ranges]
     merged = offers[0] if len(ranges) == 1 else np.full(problem.size, INF, dtype=np.uint64)
-    todo = np.flatnonzero(seeded)
-    v, witnesses = problem.forbidden_batch(d, todo)
-    merged[v] = witnesses
-    stats.predicate_evals += len(todo) - len(v)  # a forbidden seed counts in pass 1
+    np.minimum.at(merged, *problem.offer_batch(d, np.flatnonzero(d != INF)))
 
     def sweep(lo: int, hi: int, mine: np.ndarray) -> None:
         v = np.flatnonzero(merged[lo:hi] < d[lo:hi]) + lo

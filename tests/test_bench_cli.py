@@ -83,8 +83,11 @@ class _InvertedShortestPaths(ShortestPaths):
     def witness(self, state, v):
         return None
 
-    def forbidden_batch(self, values, indices):
-        return indices[:0], values[:0]
+    def forbidden_batch(self, values):
+        return np.flatnonzero(values[:0])
+
+    def offer_batch(self, values, changed):
+        return changed[:0], values[:0]
 
 
 def test_run_verify_flags_broken_adapter():

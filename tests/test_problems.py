@@ -34,6 +34,11 @@ from llp.worklists import RandomOrderBag, SeqBag
 
 SUITE_SEEDS = 100
 
+#: Every strategy, the parallel ones at 1 and 2 threads.
+ALL_CONFIGS = [(s, 1) for s in SEQUENTIAL_STRATEGIES] + [
+    (s, t) for s in STRATEGIES if s not in SEQUENTIAL_STRATEGIES for t in (1, 2)
+]
+
 
 def _suite(problem, spec_of):
     """Solve 100 seeded instances with the bag solver, yield (instance, got)."""
@@ -137,35 +142,6 @@ def _random_states(adapter_class, rng, draws=20):
         yield adapter_class(CsrGraph.from_edges(n, arcs), source), _random_cells(rng, n)
 
 
-@pytest.mark.parametrize("adapter_class", [ShortestPaths, BreadthFirstLevels])
-@pytest.mark.parametrize("seed", range(4))
-def test_forbidden_batch_agrees_with_is_forbidden(adapter_class, seed):
-    # The scalar check is the reference for the vector post-solve scan.
-    # States are random, not fixed points: INF cells and cells near INF,
-    # the source at any value and with in-arcs, vertices without in-arcs,
-    # duplicate arcs both lighter and heavier, shuffled index subsets.
-    # Each witness is the value the scalar advance writes.
-    rng = SplitMix64(0xF0B ^ seed)
-    found = 0
-    for draw, (adapter, cells) in enumerate(_random_states(adapter_class, rng)):
-        n = adapter.size
-        values = np.array(cells, dtype=np.uint64)
-        state = GlobalState(cells)
-        order = list(range(n))
-        rng.shuffle(order)
-        # A subset, then every index in order, which reduces over all arcs.
-        for indices in (np.array(order[: rng.uniform(0, n)], dtype=np.int64), np.arange(n)):
-            forbidden, witnesses = adapter.forbidden_batch(values, indices)
-            assert forbidden.tolist() == [v for v in indices.tolist() if adapter.is_forbidden(state, v)], draw
-            assert values.tolist() == cells and state.values.snapshot() == cells
-            for v, witness in zip(forbidden.tolist(), witnesses.tolist()):
-                probe = GlobalState(cells)
-                assert adapter.advance(probe, v, SeqBag())
-                assert probe.values.load(v) == witness, (draw, v)
-            found += len(forbidden)
-    assert found > 0
-
-
 # One vertex with and without a self-loop, and zero-weight arcs, which
 # the generators never draw: a zero-weight cycle through the source, a
 # zero-weight path, and parallel arcs of weight zero and one.
@@ -176,6 +152,28 @@ EDGE_GRAPHS = [
                              (3, 5, 0), (3, 5, 1), (6, 6, 0)]), 0),
     (CsrGraph.from_edges(5, [(2, 0, 0), (2, 1, 0), (1, 3, 2), (3, 4, 0), (4, 1, 0)]), 2),
 ]
+
+
+@pytest.mark.parametrize("adapter_class", [ShortestPaths, BreadthFirstLevels])
+@pytest.mark.parametrize("seed", range(4))
+def test_forbidden_batch_agrees_with_is_forbidden(adapter_class, seed):
+    # The scalar check is the reference for the vector post-solve scan.
+    # States are random, not fixed points: INF cells and cells near INF,
+    # the source at any value and with in-arcs, vertices without in-arcs,
+    # duplicate arcs both lighter and heavier, self-loops, zero weights.
+    rng = SplitMix64(0xF0B ^ seed)
+    draws = list(_random_states(adapter_class, rng))
+    draws += [(adapter_class(graph, source), _random_cells(rng, graph.num_vertices))
+              for graph, source in EDGE_GRAPHS]
+    found = 0
+    for draw, (adapter, cells) in enumerate(draws):
+        values = np.array(cells, dtype=np.uint64)
+        state = GlobalState(cells)
+        forbidden = adapter.forbidden_batch(values)
+        assert forbidden.tolist() == [v for v in range(adapter.size) if adapter.is_forbidden(state, v)], draw
+        assert values.tolist() == cells
+        found += len(forbidden)
+    assert found > 0
 
 
 @pytest.mark.parametrize("adapter_class", [ShortestPaths, BreadthFirstLevels])
@@ -232,18 +230,15 @@ def _seed_cover_graphs():
 
 @pytest.mark.parametrize("adapter_class", [ShortestPaths, BreadthFirstLevels])
 def test_seeds_cover_every_index_forbidden_at_the_start(adapter_class):
-    # Popping strategies start from the seeds, and allpar's vector step
-    # checks only their indices in its first pass, so every index
-    # forbidden in init_state must be the index of a seed.
+    # Popping strategies start from the seeds, so every index forbidden
+    # in init_state must be the index of a seed.
     for graph, source in _seed_cover_graphs():
         adapter = adapter_class(graph, source)
         state = adapter.init_state()
         bag = SeqBag()
         adapter.push_initial(state, bag)
         seeds = {item[0] for item in iter(bag.pop, None)}
-        forbidden, _witnesses = adapter.forbidden_batch(
-            state.values.to_numpy(), np.arange(adapter.size)
-        )
+        forbidden = adapter.forbidden_batch(state.values.to_numpy())
         assert set(forbidden.tolist()) <= seeds, (graph.num_vertices, source)
 
 
@@ -295,6 +290,23 @@ def test_adapters_build_no_per_vertex_lists(adapter_class, oracle, monkeypatch):
     for strategy in ("bag", "allpar"):
         got = solve(adapter, SolverConfig(strategy=strategy))
         assert np.array_equal(got, want), strategy
+
+
+def _refuse_seeds(state, worklist):
+    raise AssertionError("push_initial called")
+
+
+@pytest.mark.parametrize("adapter_class,oracle", [(ShortestPaths, dijkstra_heap), (BreadthFirstLevels, bfs_seq)])
+def test_allpar_vector_path_reads_no_scalar_view_and_no_seed(adapter_class, oracle):
+    # The vector solve and its certification read the CSR arrays only.
+    inst = generate("randgraph:n=300,m=900,wmax=20", 5)
+    want = oracle(inst.graph, inst.source)
+    adapter = adapter_class(inst.graph, inst.source)
+    adapter._in = adapter._in_offs = adapter._out = adapter._out_offs = None
+    adapter.push_initial = _refuse_seeds
+    for threads in (1, 2, 3):
+        got = solve(adapter, SolverConfig(strategy="allpar", threads=threads))
+        assert np.array_equal(got, want), threads
 
 
 def test_bfs_chain_levels():
@@ -355,9 +367,31 @@ def test_sm_rejects_unbalanced_input():
 # --- job scheduling ---------------------------------------------------------
 
 
+# One job, no arcs, duplicate arcs, and zero durations on a chain and a
+# diamond, which the generators never draw.
+JOB_EDGE_CASES = [
+    (CsrGraph.from_edges(1, []), [4]),
+    (CsrGraph.from_edges(4, []), [3, 0, 5, 1]),
+    (CsrGraph.from_edges(3, [(0, 1, 1), (0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 2, 1)]), [2, 3, 1]),
+    (CsrGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)]), [0, 0, 0]),
+    (CsrGraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]), [0, 2, 0, 0]),
+]
+
+
 def test_job_oracle_suite():
     for inst, got in _suite("job", lambda r: f"dag:n={r.uniform(1, 200)},p=0.2"):
         assert np.array_equal(got, topo_sort_seq(inst.graph, inst.durations))
+    for case, (graph, durations) in enumerate(JOB_EDGE_CASES):
+        want = topo_sort_seq(graph, durations)
+        for strategy, threads in ALL_CONFIGS:
+            got = solve(JobScheduling(graph, durations), strategy=strategy, threads=threads)
+            assert np.array_equal(got, want), (case, strategy, threads)
+
+
+def test_job_rejects_a_negative_duration():
+    # A negative duration would finish a job before its prerequisites.
+    with pytest.raises(ValueError):
+        JobScheduling(CsrGraph.from_edges(2, [(0, 1, 1)]), [-3, 2])
 
 
 def test_job_completion_times_are_tight():
@@ -395,11 +429,6 @@ def test_job_zero_duration_is_still_fixed(strategy):
     assert solve(adapter, strategy=strategy).tolist() == [0, 5]
 
 
-JOB_CONFIGS = [(s, 1) for s in SEQUENTIAL_STRATEGIES] + [
-    (s, t) for s in STRATEGIES if s not in SEQUENTIAL_STRATEGIES for t in (1, 2)
-]
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_job_zero_and_small_durations_match_the_oracle(seed):
     # Durations from {0, 1, 2} make many bounds equal to the initial 0 or
@@ -414,7 +443,7 @@ def test_job_zero_and_small_durations_match_the_oracle(seed):
         graph = CsrGraph.from_edges(n, arcs)
         durations = [rng.below(3) for _ in range(n)]
         want = topo_sort_seq(graph, durations)
-        for strategy, threads in JOB_CONFIGS:
+        for strategy, threads in ALL_CONFIGS:
             got = solve(JobScheduling(graph, durations), strategy=strategy, threads=threads)
             assert np.array_equal(got, want), (draw, strategy, threads)
 
@@ -458,9 +487,25 @@ def test_reduce_node_with_one_published_child_is_not_forbidden():
 # --- transitive closure -----------------------------------------------------
 
 
+# One vertex with and without a self-loop, no arcs, a 3-cycle and
+# duplicate arcs, which the generators never draw.
+CLOSURE_EDGE_GRAPHS = [
+    CsrGraph.from_edges(1, []),
+    CsrGraph.from_edges(1, [(0, 0, 1)]),
+    CsrGraph.from_edges(5, []),
+    CsrGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)]),
+    CsrGraph.from_edges(4, [(0, 1, 1), (0, 1, 1), (1, 2, 1), (1, 2, 1), (2, 3, 1)]),
+]
+
+
 def test_closure_oracle_suite():
     for inst, got in _suite("closure", lambda r: f"closuredag:n={r.uniform(1, 64)},p=0.2"):
         assert np.array_equal(got, floyd_warshall_par(inst.graph, threads=1))
+    for graph in CLOSURE_EDGE_GRAPHS:
+        want = floyd_warshall_par(graph, threads=1)
+        for strategy, threads in ALL_CONFIGS:
+            got = solve(TransitiveClosure(graph), strategy=strategy, threads=threads)
+            assert np.array_equal(got, want), (graph.num_vertices, strategy, threads)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -593,6 +638,33 @@ def test_knapsack_two_items_optimum_seven():
     got = solve(adapter, strategy="bag")
     assert adapter.optimum(got) == 7
     assert got.tolist() == [0, 0, 3, 4, 4, 7]
+
+
+def test_knapsack_edge_inputs_match_the_row_dp():
+    # Built directly, not from a spec: capacity 0, which the spec grammar
+    # cannot express, items of weight 0 and items heavier than the
+    # capacity, values of 0, and strips of one column, three columns, or
+    # the whole row.
+    rng = SplitMix64(0xED6E)
+    for draw in range(20):
+        capacity = 0 if draw == 0 else rng.uniform(0, 39)
+        n = rng.uniform(1, 8)
+        weights = [rng.uniform(0, capacity + 19) for _ in range(n)]
+        values = [rng.uniform(0, 30) for _ in range(n)]
+        want = dp_row_knapsack(weights, values, capacity)
+        for width in (1, 3, 256):
+            for strategy, threads in ALL_CONFIGS:
+                got = solve(Knapsack(weights, values, capacity, tile_width=width),
+                            strategy=strategy, threads=threads)
+                assert np.array_equal(got, want), (draw, width, strategy, threads)
+
+
+def test_knapsack_rejects_negative_weights_and_values():
+    # A negative weight would let a cell read its own row: the item is
+    # taken twice.
+    for weights, values in (([-1], [3]), ([2], [-3]), ([1, -2], [1, 1])):
+        with pytest.raises(ValueError):
+            Knapsack(weights, values, capacity=2)
 
 
 def test_knapsack_tile_width_does_not_change_fixed_point():

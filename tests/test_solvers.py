@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from llp.baselines import gale_shapley_seq, topo_sort_seq
+from llp.baselines import dijkstra_heap, gale_shapley_seq, topo_sort_seq
 from llp.core import INF, GlobalState, IncompleteSolveError, InfeasibleError, Problem
 from llp.instances import CsrGraph, example_graph, generate
 from llp.problems import BreadthFirstLevels, ShortestPaths, adapter_for
@@ -139,9 +139,10 @@ def test_state_selection_chain_work_gap():
 def test_scan_stops_after_first_pass_that_finds_nothing(strategy):
     # The source is the chain's last vertex, which has no out-arc, so the
     # initial state is already the fixed point: one pass proves it.
-    # cyclic's pass checks each vertex once.  allpar's vector step checks
-    # the seeds in its first pass, and push_initial pushes nothing for a
-    # source without out-arcs, so that pass checks an empty frontier.
+    # cyclic's pass checks each vertex once.  allpar's vector step starts
+    # from the offers of the source, the only vertex not at INF, and a
+    # source without out-arcs offers nothing, so that pass's frontier is
+    # empty.
     inst = generate("chain:50", 0)
     adapter = ShortestPaths(inst.graph, source=49)
     result = run_solver(adapter, SolverConfig(strategy=strategy, threads=1))
@@ -162,7 +163,11 @@ def test_stats_count_scan_passes(strategy, passes):
 
 
 class _StuckPaths(ShortestPaths):
-    """Reports vertex 1 forbidden on every check but never advances it."""
+    """Reports vertex 1 forbidden on every check but never advances it.
+
+    The vector path never offers vertex 1 anything, which leaves it
+    forbidden in the same way.
+    """
 
     def ensure(self, state, v, worklist):
         if v != 1:
@@ -170,9 +175,10 @@ class _StuckPaths(ShortestPaths):
         state.stats.predicate_evals += 1
         return True
 
-    def forbidden_batch(self, values, indices):
-        forbidden, witnesses = super().forbidden_batch(values, indices)
-        return forbidden, np.where(forbidden == 1, values[1], witnesses)  # writes nothing
+    def offer_batch(self, values, changed):
+        targets, candidates = super().offer_batch(values, changed)
+        keep = targets != 1
+        return targets[keep], candidates[keep]
 
 
 def _incomplete_index(adapter, config):
@@ -209,22 +215,25 @@ class _UnseededPaths(ShortestPaths):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_allpar_that_seeds_nothing_is_caught(threads):
-    # allpar's vector step checks the seeds in its first pass, so with no
-    # seed that pass checks nothing and advances nothing, and the scan
-    # stops.  The post-solve scan checks every vertex and reports the
-    # first forbidden one: the least out-neighbour of the source.
+def test_only_popping_strategies_need_the_seeds(threads):
+    # A popping solve with no seed starts quiescent; the post-solve scan
+    # checks every vertex and reports the first forbidden one: the least
+    # out-neighbour of the source.  allpar's vector step starts from the
+    # offers of the start vector instead, and never reads the seeds.
     inst = generate("randgraph:n=300,m=900,wmax=20", 4)
     adapter = _UnseededPaths(inst.graph, inst.source)
     offsets, s = inst.graph.offsets, inst.source
     firsts = sorted(x for x in inst.graph.targets[offsets[s] : offsets[s + 1]].tolist() if x != s)
     assert firsts, "the source needs an out-arc"
-    got = _incomplete_index(adapter, SolverConfig(strategy="allpar", threads=threads))
-    assert got == firsts[0]
+    for strategy in ("bag", "ptwb") if threads == 1 else ("ptwb",):
+        got = _incomplete_index(adapter, SolverConfig(strategy=strategy, threads=threads))
+        assert got == firsts[0], strategy
+    got = solve(adapter, SolverConfig(strategy="allpar", threads=threads))
+    assert np.array_equal(got, dijkstra_heap(inst.graph, inst.source))
 
 
 class _UnofferedPaths(ShortestPaths):
-    """Negative control: offers nothing, so allpar advances only the seeds."""
+    """Negative control: offers nothing, so allpar advances nothing."""
 
     def offer_batch(self, values, changed):
         return changed[:0], values[:0]
@@ -232,22 +241,13 @@ class _UnofferedPaths(ShortestPaths):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_allpar_that_offers_nothing_is_caught(threads):
-    # Pass 1 advances the seeds, then no offer makes a frontier and the
-    # scan stops.  The certification's arc-wise check finds arcs that
-    # beat their targets and falls through to the pull reduce, which
-    # reports the first vertex forbidden after pass 1, as the scalar
-    # scan of that state does.
+    # With no offer pass 1's frontier is empty and the scan stops.  The
+    # certification checks every out-arc itself, not through offer_batch,
+    # and reports the first vertex forbidden at the start, as the scalar
+    # scan of init_state does.
     inst = generate("randgraph:n=300,m=900,wmax=20", 4)
     adapter = _UnofferedPaths(inst.graph, inst.source)
-    start = adapter.init_state()
-    bag = SeqBag()
-    adapter.push_initial(start, bag)
-    after = start.values.snapshot()
-    for x, _key in iter(bag.pop, None):
-        witness = adapter.witness(start, x)
-        if witness is not None:
-            after[x] = witness
-    want = scan_for_forbidden(adapter, GlobalState(after))
+    want = scan_for_forbidden(adapter, adapter.init_state())
     assert want is not None
     assert _incomplete_index(adapter, SolverConfig(strategy="allpar", threads=threads)) == want
 
@@ -334,9 +334,9 @@ def test_work_per_vertex_stays_bounded(problem, strategy, counter, per_vertex):
     # evaluations per vertex.  allpar's vector step checks only the
     # changed frontier: scanning all vertices per pass instead costs 5.0
     # BFS evaluations and 1.39 advances, and 9.0 SSSP evaluations, per
-    # vertex; a first pass over every vertex instead of the seeds costs
-    # 1.995 BFS and 4.117 SSSP evaluations per vertex.  Checking every
-    # popped item instead of dropping the stale ones by their key costs
+    # vertex; a first pass that checks every vertex costs 1.995 BFS and
+    # 4.117 SSSP evaluations per vertex.  Checking every popped item
+    # instead of dropping the stale ones by their key costs
     # 4.00 evaluations per vertex on SSSP bag, ptwb and buckets and on
     # every popping BFS strategy, and 6.42 on SSSP swb and ptcf.  Pushing
     # x whenever the candidate beats d(x), instead of only below the least
